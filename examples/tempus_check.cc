@@ -1,8 +1,9 @@
 // tempus_check: differential-oracle harness CLI.
 //
 // Runs one differential case (production operator vs. the naive oracle)
-// when given explicit flags, or sweeps every operator x mode x supported
-// order over the adversarial distributions when invoked with --sweep.
+// when given explicit flags, or sweeps every operator x supported order
+// (plus the no-GC mode) over the adversarial distributions when invoked
+// with --sweep.
 // Exits nonzero on any mismatch, bound violation, or ledger break; every
 // failure prints a one-line repro command.
 //
@@ -10,7 +11,7 @@
 //   tempus_check --sweep --batch=1,3,64,1024
 //   tempus_check --op=contain-join --mode=seq --dist=nested-chains
 //       --arrangement=shuffled --count=64 --seed=7
-//       --left_order=from-asc --right_order=from-asc --threads=4
+//       --left_order=from-asc --right_order=from-asc
 //       --storage=disk --frames=4 --page=8 --batch=64
 //
 // --storage=disk spills both operands to compressed page files and scans
@@ -142,28 +143,24 @@ int Sweep(const DifferentialCase& base, const std::vector<size_t>& batches,
          tempus::testing::AllDistributions()) {
       for (tempus::testing::Arrangement arr :
            tempus::testing::AllArrangements()) {
-        // Stream modes under every supported order combination, repeated
-        // along the batch axis when --batch lists sizes.
+        // The stream operator under every supported order combination,
+        // repeated along the batch axis when --batch lists sizes.
         for (const auto& [lo, ro] : SupportedOrders(op)) {
-          for (tempus::testing::ExecMode mode :
-               {tempus::testing::ExecMode::kSequential,
-                tempus::testing::ExecMode::kParallel}) {
-            for (size_t batch : batches) {
-              for (KernelMode kernel : kernels) {
-                DifferentialCase c = base;
-                c.op = op;
-                c.mode = mode;
-                c.distribution = dist;
-                c.arrangement = arr;
-                c.count = count;
-                c.seed = seed + cases;  // Distinct but reproducible per case.
-                c.left_order = lo;
-                c.right_order = ro;
-                c.batch_size = batch;
-                c.kernel = kernel;
-                failures += RunCase(c, verbose);
-                ++cases;
-              }
+          for (size_t batch : batches) {
+            for (KernelMode kernel : kernels) {
+              DifferentialCase c = base;
+              c.op = op;
+              c.mode = tempus::testing::ExecMode::kSequential;
+              c.distribution = dist;
+              c.arrangement = arr;
+              c.count = count;
+              c.seed = seed + cases;  // Distinct but reproducible per case.
+              c.left_order = lo;
+              c.right_order = ro;
+              c.batch_size = batch;
+              c.kernel = kernel;
+              failures += RunCase(c, verbose);
+              ++cases;
             }
           }
         }
@@ -255,9 +252,6 @@ int main(int argc, char** argv) {
       c.seed = std::strtoull(std::string(v).c_str(), nullptr, 10);
     } else if (ConsumeFlag(arg, "right_seed", &v)) {
       c.right_seed = std::strtoull(std::string(v).c_str(), nullptr, 10);
-    } else if (ConsumeFlag(arg, "threads", &v)) {
-      c.threads = static_cast<size_t>(std::strtoull(
-          std::string(v).c_str(), nullptr, 10));
     } else if (ConsumeFlag(arg, "storage", &v)) {
       auto storage = tempus::testing::StorageModeFromName(v);
       if (!storage.ok()) {

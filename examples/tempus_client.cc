@@ -8,7 +8,7 @@
 //   $ ./tempus_client --port 7440 --stats
 //
 // Flags: --host A (default 127.0.0.1)   --port N (required)
-//        --deadline-ms N   --threads N   --metrics (print metrics JSON)
+//        --deadline-ms N   --metrics (print metrics JSON)
 //        -c '<tql>' | -f <file> | --stats
 
 #include <cstdio>
@@ -25,8 +25,7 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host A] --port N [--deadline-ms N] "
-               "[--threads N] [--metrics] (-c '<tql>' | -f <file> | "
-               "--stats)\n",
+               "[--metrics] (-c '<tql>' | -f <file> | --stats)\n",
                argv0);
   return 1;
 }
@@ -48,9 +47,6 @@ int main(int argc, char** argv) {
       port = std::strtoul(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && has_value) {
       call.deadline_ms =
-          static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && has_value) {
-      call.threads =
           static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       print_metrics = true;

@@ -7,7 +7,7 @@
 //   $ ./tempus_client --port 7440 -c 'range of e is Events ...'
 //
 // Flags: --port N (0 = ephemeral)    --sessions N   --queries N
-//        --queue N   --deadline-ms N (0 = none)     --threads N
+//        --queue N   --deadline-ms N (0 = none)
 
 #include <poll.h>
 #include <sys/stat.h>
@@ -79,19 +79,17 @@ int main(int argc, char** argv) {
   unsigned long queries = 4;
   unsigned long queue = 8;
   unsigned long deadline_ms = 0;
-  unsigned long threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (ParseSizeFlag(argc, argv, &i, "--port", &port) ||
         ParseSizeFlag(argc, argv, &i, "--sessions", &sessions) ||
         ParseSizeFlag(argc, argv, &i, "--queries", &queries) ||
         ParseSizeFlag(argc, argv, &i, "--queue", &queue) ||
-        ParseSizeFlag(argc, argv, &i, "--deadline-ms", &deadline_ms) ||
-        ParseSizeFlag(argc, argv, &i, "--threads", &threads)) {
+        ParseSizeFlag(argc, argv, &i, "--deadline-ms", &deadline_ms)) {
       continue;
     }
     std::fprintf(stderr,
                  "usage: %s [--port N] [--sessions N] [--queries N] "
-                 "[--queue N] [--deadline-ms N] [--threads N]\n",
+                 "[--queue N] [--deadline-ms N]\n",
                  argv[0]);
     return 1;
   }
@@ -103,7 +101,6 @@ int main(int argc, char** argv) {
   options.max_concurrent_queries = queries;
   options.admission_queue = queue;
   options.default_deadline_ms = static_cast<uint32_t>(deadline_ms);
-  options.planner.threads = threads;
   tempus::TqlServer server(&engine, options);
   tempus::Status started = server.Start();
   if (!started.ok()) {

@@ -7,7 +7,7 @@
 //   ...> <blank line>
 //
 // Commands: \tables   \stats <relation>   \explain on|off   \analyze on|off
-//           \trace on|off   \threads N   \spill <relation> [tuples_per_page]
+//           \trace on|off   \spill <relation> [tuples_per_page]
 //           \quit
 //
 // Non-interactive modes (exit status 0 on success, 1 on any error):
@@ -303,21 +303,6 @@ int main(int argc, char** argv) {
     }
     if (line == "\\trace on" || line == "\\trace off") {
       show_trace = line.back() == 'n';
-      std::printf("tql> ");
-      std::fflush(stdout);
-      continue;
-    }
-    if (line.rfind("\\threads", 0) == 0) {
-      char* end = nullptr;
-      const char* arg = line.c_str() + 8;
-      const unsigned long parsed = std::strtoul(arg, &end, 10);
-      if (end == arg || *end != '\0') {
-        std::printf("usage: \\threads N  (1 = sequential, 0 = one per "
-                    "hardware thread)\n");
-      } else {
-        planner_options.threads = static_cast<size_t>(parsed);
-        std::printf("worker threads: %zu\n", planner_options.threads);
-      }
       std::printf("tql> ");
       std::fflush(stdout);
       continue;

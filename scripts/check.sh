@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate (ROADMAP.md): build and test three trees —
 #   build/       plain RelWithDebInfo, full ctest
-#   build-tsan/  ThreadSanitizer, the concurrency suites + chaos harness
+#   build-tsan/  ThreadSanitizer, `-L 'concurrency|chaos'`: server_test
+#                (the only concurrency suite) plus the chaos suites
 #   build-asan/  AddressSanitizer+UBSan, full ctest
 # Each tree then re-runs its suites with TEMPUS_FRAME_BUDGET=4, forcing
 # every disk-backed scan through a 4-frame buffer pool so eviction and
@@ -63,7 +64,7 @@ TEMPUS_VECTOR_KERNELS=off run_ctest build
 echo "== plain tree, TEMPUS_OPTIMIZER=off =="
 TEMPUS_OPTIMIZER=off run_ctest build
 
-echo "== TSan tree (concurrency suites + chaos harness) =="
+echo "== TSan tree (server_test + chaos suites) =="
 build_tree build-tsan -DTEMPUS_SANITIZE=thread &&
   run_ctest build-tsan -L 'concurrency|chaos'
 echo "== TSan tree, TEMPUS_FRAME_BUDGET=4 =="

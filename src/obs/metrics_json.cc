@@ -39,7 +39,7 @@ std::string MetricsToJson(const OperatorMetrics& m) {
   return StrFormat(
       "{\"tuples_read_left\":%llu,\"tuples_read_right\":%llu,"
       "\"tuples_emitted\":%llu,\"comparisons\":%llu,\"passes_left\":%llu,"
-      "\"passes_right\":%llu,\"workers\":%llu,\"merge_comparisons\":%llu,"
+      "\"passes_right\":%llu,\"merge_comparisons\":%llu,"
       "\"workspace_inserted\":%llu,\"gc_discarded\":%llu,\"gc_checks\":%llu,"
       "\"workspace_tuples\":%zu,\"peak_workspace_tuples\":%zu,"
       "\"buffer_hits\":%llu,\"buffer_misses\":%llu,"
@@ -53,7 +53,6 @@ std::string MetricsToJson(const OperatorMetrics& m) {
       static_cast<unsigned long long>(m.comparisons),
       static_cast<unsigned long long>(m.passes_left),
       static_cast<unsigned long long>(m.passes_right),
-      static_cast<unsigned long long>(m.workers),
       static_cast<unsigned long long>(m.merge_comparisons),
       static_cast<unsigned long long>(m.workspace_inserted),
       static_cast<unsigned long long>(m.gc_discarded),

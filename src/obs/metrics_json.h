@@ -13,7 +13,7 @@ std::string JsonEscape(const std::string& text);
 
 /// Renders `metrics` as a single-line JSON object with a stable key order:
 ///   {"tuples_read_left":..,"tuples_read_right":..,"tuples_emitted":..,
-///    "comparisons":..,"passes_left":..,"passes_right":..,"workers":..,
+///    "comparisons":..,"passes_left":..,"passes_right":..,
 ///    "merge_comparisons":..,"workspace_inserted":..,"gc_discarded":..,
 ///    "gc_checks":..,"workspace_tuples":..,"peak_workspace_tuples":..}
 /// Benchmarks and the TQL shell rely on this order staying stable, so new

@@ -80,11 +80,6 @@ void AppendActualLine(const OperatorMetrics& m, const PlanEstimate& est,
                   static_cast<unsigned long long>(m.kernel_rows_in),
                   static_cast<unsigned long long>(m.kernel_rows_out)));
   }
-  if (m.workers > 0) {
-    out->append(StrFormat(" workers=%llu merge_cmps=%llu",
-                          static_cast<unsigned long long>(m.workers),
-                          static_cast<unsigned long long>(m.merge_comparisons)));
-  }
   if (m.buffer_hits + m.buffer_misses + m.buffer_evictions +
           m.buffer_bytes_written >
       0) {
@@ -114,20 +109,6 @@ void RenderAnalyzed(const TupleStream& node, const TraceCollector& trace,
   AppendActualLine(node.metrics(), node.estimate(), span,
                    SubtreeChildrenNs(node, trace), node.children().empty(),
                    depth + 1, out);
-  if (span != nullptr) {
-    for (const TraceSpan& worker : trace.spans()) {
-      if (worker.parent != span->id || worker.worker < 0) continue;
-      out->append((depth + 1) * 2, ' ');
-      out->append(StrFormat(
-          "[worker %d] rows=%llu cmps=%llu peak_ws=%zu gc=%llu time=%s\n",
-          worker.worker,
-          static_cast<unsigned long long>(worker.metrics.tuples_emitted),
-          static_cast<unsigned long long>(worker.metrics.comparisons),
-          worker.metrics.peak_workspace_tuples,
-          static_cast<unsigned long long>(worker.metrics.gc_discarded),
-          FormatDuration(worker.next_ns).c_str()));
-    }
-  }
   for (const TupleStream* child : node.children()) {
     RenderAnalyzed(*child, trace, depth + 1, out);
   }
@@ -152,21 +133,6 @@ void JsonNode(const TupleStream& node, const TraceCollector* trace,
         static_cast<unsigned long long>(span->next_ns),
         static_cast<unsigned long long>(span->open_calls),
         static_cast<unsigned long long>(span->next_calls)));
-    std::string workers;
-    for (const TraceSpan& worker : trace->spans()) {
-      if (worker.parent != span->id || worker.worker < 0) continue;
-      if (!workers.empty()) workers.push_back(',');
-      workers.append(
-          StrFormat("{\"worker\":%d,\"elapsed_ns\":%llu,\"metrics\":%s}",
-                    worker.worker,
-                    static_cast<unsigned long long>(worker.next_ns),
-                    MetricsToJson(worker.metrics).c_str()));
-    }
-    if (!workers.empty()) {
-      out->append(",\"workers\":[");
-      out->append(workers);
-      out->push_back(']');
-    }
   }
   out->append(",\"children\":[");
   bool first = true;

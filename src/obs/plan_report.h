@@ -19,8 +19,7 @@ std::string RenderPlanTree(const TupleStream& root);
 
 /// Renders the EXPLAIN ANALYZE view: for every plan node its label, an
 /// "(actual ...)" line with rows emitted, reads, comparisons, passes, peak
-/// workspace, GC accounting, and wall time (total and self), and, for
-/// parallel operators, one "[worker k]" line per absorbed worker span.
+/// workspace, GC accounting, and wall time (total and self).
 /// Pass the collector the tree was traced with; nodes without a span
 /// render their counters with no timing.
 std::string RenderAnalyzedPlan(const TupleStream& root,
@@ -29,9 +28,7 @@ std::string RenderAnalyzedPlan(const TupleStream& root,
 /// Renders the plan tree (and, when `trace` is non-null, its spans) as a
 /// single-line JSON document:
 ///   {"label":...,"metrics":{...},"open_ns":...,"next_ns":...,
-///    "open_calls":...,"next_calls":...,
-///    "workers":[{"worker":k,"elapsed_ns":...,"metrics":{...}},...],
-///    "children":[...]}
+///    "open_calls":...,"next_calls":...,"children":[...]}
 /// Timing keys are omitted when the node has no span.
 std::string PlanToJson(const TupleStream& root, const TraceCollector* trace);
 

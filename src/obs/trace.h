@@ -6,27 +6,19 @@
 #include <utility>
 #include <vector>
 
-#include "stream/metrics.h"
-
 namespace tempus {
 
 /// One per-operator span recorded during an EXPLAIN ANALYZE run: wall time
 /// spent inside Open()/Next() plus call counts, with a parent link so the
-/// spans form the same tree as the plan. Worker spans (worker >= 0) are
-/// synthesized by parallel operators after their pool joins; they carry a
-/// snapshot of the slice operator's metrics because the slice operator
-/// itself is destroyed once its output is absorbed.
+/// spans form the same tree as the plan.
 struct TraceSpan {
   int id = -1;
   int parent = -1;  // -1 = plan root.
   std::string label;
-  int worker = -1;  // -1 = coordinator-side operator, else slice index.
   uint64_t open_ns = 0;
   uint64_t next_ns = 0;
   uint64_t open_calls = 0;
   uint64_t next_calls = 0;
-  bool has_metrics = false;
-  OperatorMetrics metrics;
 
   uint64_t total_ns() const { return open_ns + next_ns; }
 };
@@ -36,33 +28,17 @@ struct TraceSpan {
 /// tempus_stream depending on the tempus_obs archive.
 ///
 /// Not thread-safe by design: spans are registered and updated only by the
-/// thread driving the plan. Parallel operators run their slices without
-/// instrumentation and report per-worker spans from the coordinator thread
-/// after the pool joins (see ParallelJoinStream), keeping traced parallel
-/// runs TSan-clean without locks on the Next() hot path.
+/// thread driving the plan, so the Next() hot path takes no locks.
 class TraceCollector {
  public:
   /// Registers a span and returns its id.
-  int AddSpan(std::string label, int parent = -1, int worker = -1) {
+  int AddSpan(std::string label, int parent = -1) {
     TraceSpan span;
     span.id = static_cast<int>(spans_.size());
     span.parent = parent;
     span.label = std::move(label);
-    span.worker = worker;
     spans_.push_back(std::move(span));
     return spans_.back().id;
-  }
-
-  /// Registers a completed worker span with its elapsed time and a metrics
-  /// snapshot of the (already destroyed) slice operator tree.
-  int AddWorkerSpan(std::string label, int parent, int worker,
-                    uint64_t elapsed_ns, const OperatorMetrics& metrics) {
-    const int id = AddSpan(std::move(label), parent, worker);
-    spans_[id].next_ns = elapsed_ns;
-    spans_[id].next_calls = 1;
-    spans_[id].has_metrics = true;
-    spans_[id].metrics = metrics;
-    return id;
   }
 
   void RecordOpen(int id, uint64_t ns) {

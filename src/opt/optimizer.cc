@@ -183,15 +183,6 @@ CascadeOrder Optimizer::ChooseCascadeOrder(
   return result;
 }
 
-size_t Optimizer::ChooseParallelDegree(double est_input_rows,
-                                       size_t requested) const {
-  if (requested != 1) return requested;  // Explicit request always wins.
-  if (!cost_based()) return requested;
-  // Fixed degree above the threshold, so identical queries plan
-  // identically on every machine.
-  return est_input_rows >= kParallelRowThreshold ? kParallelDegree : 1;
-}
-
 size_t Optimizer::ChooseBatchSize(double est_input_rows,
                                   size_t default_batch) const {
   if (!cost_based()) return default_batch;

@@ -84,25 +84,12 @@ class Optimizer {
       const std::vector<double>& base_rows,
       const std::function<double(size_t, size_t)>& pair_selectivity) const;
 
-  /// Parallelism degree for a pairwise temporal operator whose combined
-  /// estimated *input* cardinality is `est_input_rows`. Partitioned
-  /// workers divide the sweep/state work — which scales with input — while
-  /// each pays its own partition bookkeeping, so small inputs lose even
-  /// when the output is huge. An explicit PlannerOptions::threads request
-  /// (`requested` != 1) always wins; otherwise large inputs opt into a
-  /// fixed degree so plans stay machine-independent.
-  size_t ChooseParallelDegree(double est_input_rows, size_t requested) const;
-
   /// Batch-vs-tuple path: returns the batch size to plan with, given the
   /// total estimated input cardinality and the default batch size. Tiny
   /// inputs take the tuple path (batch setup costs more than it saves).
   size_t ChooseBatchSize(double est_input_rows, size_t default_batch) const;
 
   static constexpr size_t kMaxDpVars = 12;
-  /// Estimated combined input rows above which an otherwise-sequential
-  /// pairwise operator is planned time-range partitioned.
-  static constexpr double kParallelRowThreshold = 250000.0;
-  static constexpr size_t kParallelDegree = 4;
   /// Estimated input rows below which the tuple path beats batching.
   /// Halved when the vectorized expression kernels are on (docs/BATCH.md):
   /// columnar evaluation recoups per-batch setup sooner.

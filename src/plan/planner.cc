@@ -7,18 +7,21 @@
 
 #include "common/string_util.h"
 #include "join/allen_sweep_join.h"
+#include "join/batch_sweep.h"
 #include "join/before_join.h"
 #include "join/contain_join.h"
 #include "join/containment_semijoin.h"
 #include "join/hash_join.h"
 #include "join/nested_loop.h"
+#include "join/outer_join.h"
 #include "join/overlap_semijoin.h"
 #include "join/self_semijoin.h"
+#include "join/subtract.h"
 #include "obs/plan_report.h"
 #include "opt/cost_model.h"
 #include "opt/optimizer.h"
-#include "parallel/parallel_ops.h"
-#include "parallel/worker_pool.h"
+#include "semantic/coalesce.h"
+#include "semantic/set_ops.h"
 #include "storage/paged_relation.h"
 #include "storage/paged_stream.h"
 #include "stream/basic_ops.h"
@@ -226,8 +229,8 @@ class PlanBuilder {
     return optimizer_.StatsFor(relations_[var].name(), *scalars);
   }
   /// True when both sides of a pair carry analyze-built statistics and the
-  /// optimizer runs cost-based — the gate for the batch/parallel
-  /// decisions, so un-analyzed catalogs plan exactly as before.
+  /// optimizer runs cost-based — the gate for the batch-size decision, so
+  /// un-analyzed catalogs plan exactly as before.
   bool DetailedPair(size_t lv, size_t rv) const {
     return optimizer_.cost_based() &&
            optimizer_.HasDetailedStats(relations_[lv].name()) &&
@@ -247,18 +250,6 @@ class PlanBuilder {
     rationale_.push_back(note);
   }
 
-  /// Effective worker count (options_.threads; 0 = one per hardware
-  /// thread; a per-pair cost-based override wins when set).
-  size_t Threads() const {
-    if (pair_threads_.has_value()) return *pair_threads_;
-    return options_.threads == 0 ? WorkerPool::DefaultThreadCount()
-                                 : options_.threads;
-  }
-  /// Explain suffix for operators that run time-range partitioned.
-  std::string ParallelNote() const {
-    return Threads() > 1 ? StrFormat(" [parallel x%zu]", Threads())
-                         : std::string();
-  }
   /// Effective batch size for the batch-at-a-time sweep operators
   /// (options_.batch_size; kNoBatchOverride defers to TEMPUS_BATCH_SIZE;
   /// a per-pair cost-based override wins when set).
@@ -308,7 +299,6 @@ class PlanBuilder {
   // Per-pair execution-strategy overrides chosen by the cost-based
   // optimizer for the pairwise temporal operators (one pair per query in
   // the two-variable stream path, so plain members suffice).
-  std::optional<size_t> pair_threads_;
   std::optional<size_t> pair_batch_;
 
   std::string notes_;
@@ -970,22 +960,11 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
     }
     return out;
   };
-  // Batch-vs-tuple path and parallelism degree: decided by the cost model
-  // only when both inputs carry analyze-built statistics, so un-analyzed
-  // catalogs keep the environment-driven defaults (and TEMPUS_OPTIMIZER=off
-  // reproduces them exactly).
+  // Batch-vs-tuple path: decided by the cost model only when both inputs
+  // carry analyze-built statistics, so un-analyzed catalogs keep the
+  // environment-driven default (and TEMPUS_OPTIMIZER=off reproduces it
+  // exactly).
   if (have_stats && DetailedPair(lv, rv)) {
-    // Parallelism divides the sweep/state work, which scales with the
-    // combined input — not with the output, which every degree
-    // materializes in full.
-    const double est_inputs = left_in.rows + right_in.rows;
-    const size_t threads =
-        optimizer_.ChooseParallelDegree(est_inputs, Threads());
-    if (threads != Threads()) {
-      AddNote(StrFormat("cost model: parallel x%zu (est %.0f input rows)",
-                        threads, est_inputs));
-      pair_threads_ = threads;
-    }
     const size_t batch =
         optimizer_.ChooseBatchSize(left_in.rows + right_in.rows, BatchSize());
     if (batch != BatchSize()) {
@@ -1055,15 +1034,15 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
       options.verify_input_order = options_.verify_sorted_inputs;
       options.batch_size = BatchSize();
       TEMPUS_ASSIGN_OR_RETURN(
-          auto stream, MakeParallelSelfContainedSemijoin(
-                           std::move(sorted.stream), options, Threads()));
+          auto stream,
+          MakeSelfContainedSemijoin(std::move(sorted.stream), options));
       subsume_pair_predicates();
       SubPlan plan;
       plan.stream = std::move(stream);
       plan.var_offsets = sorted.var_offsets;
       plan.order = kByValidFromAsc;
       plan.explain = "Contained-semijoin(X,X) [single scan, 1 state tuple]" +
-                     ParallelNote() + BatchNote() + "\n" +
+                     BatchNote() + "\n" +
                      Indent(sorted.explain);
       if (have_stats) {
         SetEst(&plan,
@@ -1081,15 +1060,15 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
       options.verify_input_order = options_.verify_sorted_inputs;
       options.batch_size = BatchSize();
       TEMPUS_ASSIGN_OR_RETURN(
-          auto stream, MakeParallelSelfContainSemijoin(
-                           std::move(sorted.stream), options, Threads()));
+          auto stream,
+          MakeSelfContainSemijoin(std::move(sorted.stream), options));
       subsume_pair_predicates();
       SubPlan plan;
       plan.stream = std::move(stream);
       plan.var_offsets = sorted.var_offsets;
       plan.order = kByValidFromDesc;
       plan.explain = "Contain-semijoin(X,X) [single scan, 1 state tuple]" +
-                     ParallelNote() + BatchNote() + "\n" +
+                     BatchNote() + "\n" +
                      Indent(sorted.explain);
       if (have_stats) {
         SetEst(&plan,
@@ -1110,17 +1089,15 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
       options.batch_size = BatchSize();
       TEMPUS_ASSIGN_OR_RETURN(
           auto stream,
-          MakeParallelContainedSemijoin(std::move(l.stream),
-                                        std::move(r.stream), options,
-                                        Threads()));
+          MakeContainedSemijoin(std::move(l.stream), std::move(r.stream),
+                                options));
       subsume_pair_predicates();
       SubPlan plan;
       plan.stream = std::move(stream);
       plan.var_offsets = l.var_offsets;
       plan.order = kByValidToAsc;
-      plan.explain = "Contained-semijoin [two buffers]" + ParallelNote() +
-                     BatchNote() + "\n" + Indent(l.explain) + "\n" +
-                     Indent(r.explain);
+      plan.explain = "Contained-semijoin [two buffers]" + BatchNote() + "\n" +
+                     Indent(l.explain) + "\n" + Indent(r.explain);
       if (have_stats) {
         SetEst(&plan,
                left_in.rows *
@@ -1140,17 +1117,15 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
       options.batch_size = BatchSize();
       TEMPUS_ASSIGN_OR_RETURN(
           auto stream,
-          MakeParallelContainSemijoin(std::move(l.stream),
-                                      std::move(r.stream), options,
-                                      Threads()));
+          MakeContainSemijoin(std::move(l.stream), std::move(r.stream),
+                              options));
       subsume_pair_predicates();
       SubPlan plan;
       plan.stream = std::move(stream);
       plan.var_offsets = l.var_offsets;
       plan.order = kByValidFromAsc;
-      plan.explain = "Contain-semijoin [two buffers]" + ParallelNote() +
-                     BatchNote() + "\n" + Indent(l.explain) + "\n" +
-                     Indent(r.explain);
+      plan.explain = "Contain-semijoin [two buffers]" + BatchNote() + "\n" +
+                     Indent(l.explain) + "\n" + Indent(r.explain);
       if (have_stats) {
         SetEst(&plan,
                left_in.rows *
@@ -1170,17 +1145,15 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
       options.batch_size = BatchSize();
       TEMPUS_ASSIGN_OR_RETURN(
           auto stream,
-          MakeParallelOverlapSemijoin(std::move(l.stream),
-                                      std::move(r.stream), options,
-                                      Threads()));
+          MakeOverlapSemijoin(std::move(l.stream), std::move(r.stream),
+                              options));
       subsume_pair_predicates();
       SubPlan plan;
       plan.stream = std::move(stream);
       plan.var_offsets = l.var_offsets;
       plan.order = kByValidFromAsc;
-      plan.explain = "Overlap-semijoin [two buffers]" + ParallelNote() +
-                     BatchNote() + "\n" + Indent(l.explain) + "\n" +
-                     Indent(r.explain);
+      plan.explain = "Overlap-semijoin [two buffers]" + BatchNote() + "\n" +
+                     Indent(l.explain) + "\n" + Indent(r.explain);
       if (have_stats) {
         SetEst(&plan,
                left_in.rows *
@@ -1192,16 +1165,15 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
     if (mask == AllenMask::Single(AllenRelation::kBefore)) {
       TEMPUS_ASSIGN_OR_RETURN(
           auto stream,
-          MakeParallelBeforeSemijoin(std::move(left.stream),
-                                     std::move(right.stream), Threads(),
-                                     BatchSize()));
+          BeforeSemijoin::Create(std::move(left.stream),
+                                 std::move(right.stream), BatchSize()));
       subsume_pair_predicates();
       SubPlan plan;
       plan.stream = std::move(stream);
       plan.var_offsets = left.var_offsets;
       plan.order = left.order;
-      plan.explain = "Before-semijoin [order independent]" + ParallelNote() +
-                     BatchNote() + "\n" + Indent(left.explain) + "\n" +
+      plan.explain = "Before-semijoin [order independent]" + BatchNote() +
+                     "\n" + Indent(left.explain) + "\n" +
                      Indent(right.explain);
       if (have_stats) {
         SetEst(&plan,
@@ -1274,8 +1246,8 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
       options.batch_size = BatchSize();
       TEMPUS_ASSIGN_OR_RETURN(
           auto stream,
-          MakeParallelContainJoin(std::move(l.stream), std::move(r.stream),
-                                  std::move(options), Threads()));
+          MakeContainJoin(std::move(l.stream), std::move(r.stream),
+                          std::move(options)));
       subsume_pair_predicates();
       SubPlan plan;
       plan.var_offsets[lv] = 0;
@@ -1285,7 +1257,7 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
                      std::string(right_order == kByValidToAsc
                                      ? "ValidTo^"
                                      : "ValidFrom^") +
-                     ")]" + ParallelNote() + BatchNote() + "\n" +
+                     ")]" + BatchNote() + "\n" +
                      Indent(l.explain) + "\n" + Indent(r.explain);
       if (have_stats) {
         SetEst(&plan, scale_pairs(EstimateContainPairs(*lstats, *rstats)),
@@ -1306,16 +1278,15 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
     options.batch_size = BatchSize();
     TEMPUS_ASSIGN_OR_RETURN(
         auto stream,
-        MakeParallelAllenSweepJoin(std::move(l.stream), std::move(r.stream),
-                                   std::move(options), Threads()));
+        MakeAllenSweepJoin(std::move(l.stream), std::move(r.stream),
+                           std::move(options)));
     subsume_pair_predicates();
     SubPlan plan;
     plan.var_offsets[lv] = 0;
     plan.var_offsets[rv] = lschema.attribute_count();
     plan.stream = std::move(stream);
-    plan.explain = "Allen-sweep join " + mask.ToString() + ParallelNote() +
-                   BatchNote() + "\n" + Indent(l.explain) + "\n" +
-                   Indent(r.explain);
+    plan.explain = "Allen-sweep join " + mask.ToString() + BatchNote() +
+                   "\n" + Indent(l.explain) + "\n" + Indent(r.explain);
     if (have_stats) {
       SetEst(&plan, scale_pairs(EstimateMaskJoinRows(*lstats, *rstats, mask)),
              EstimateSweepJoin(*lstats, *rstats).tuples);
@@ -1329,16 +1300,15 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
     options.batch_size = BatchSize();
     TEMPUS_ASSIGN_OR_RETURN(
         auto stream,
-        MakeParallelBeforeJoin(std::move(left.stream),
-                               std::move(right.stream), std::move(options),
-                               Threads()));
+        BeforeJoinStream::Create(std::move(left.stream),
+                                 std::move(right.stream), std::move(options)));
     subsume_pair_predicates();
     SubPlan plan;
     plan.var_offsets[lv] = 0;
     plan.var_offsets[rv] = lschema.attribute_count();
     plan.stream = std::move(stream);
     plan.explain = "Before-join [buffered inner, binary search]" +
-                   ParallelNote() + BatchNote() + "\n" +
+                   BatchNote() + "\n" +
                    Indent(left.explain) + "\n" + Indent(right.explain);
     if (have_stats) {
       SetEst(&plan, scale_pairs(EstimateBeforePairs(*lstats, *rstats)),
@@ -1367,18 +1337,15 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
   if (!lkeys.empty() && options_.style != PlanStyle::kNaive) {
     TEMPUS_ASSIGN_OR_RETURN(
         auto stream,
-        MakeParallelHashEquiJoin(std::move(left.stream),
-                                 std::move(right.stream), std::move(lkeys),
-                                 std::move(rkeys),
-                                 mask == AllenMask::All()
-                                     ? nullptr
-                                     : std::move(mask_pred),
-                                 naming, Threads()));
+        HashEquiJoin::Create(std::move(left.stream), std::move(right.stream),
+                             std::move(lkeys), std::move(rkeys),
+                             mask == AllenMask::All() ? nullptr
+                                                      : std::move(mask_pred),
+                             naming));
     subsume_pair_predicates();
     plan.stream = std::move(stream);
-    plan.explain = "Hash equi-join [+ mask " + mask.ToString() + "]" +
-                   ParallelNote() + "\n" + Indent(left.explain) + "\n" +
-                   Indent(right.explain);
+    plan.explain = "Hash equi-join [+ mask " + mask.ToString() + "]\n" +
+                   Indent(left.explain) + "\n" + Indent(right.explain);
     if (have_stats) {
       SetEst(&plan,
              scale_pairs(EstimateMaskJoinRows(*lstats, *rstats, mask)) *
@@ -1922,10 +1889,10 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
     }
     const NodeEstimate in_est = left.est;
     TEMPUS_ASSIGN_OR_RETURN(
-        plan.stream, MakeParallelCoalesce(std::move(left.stream), Threads(),
-                                          BatchSize()));
-    plan.explain = "Coalesce" + ParallelNote() + BatchNote() + "\n" +
-                   Indent(left.explain);
+        plan.stream,
+        CoalesceStream::Create(std::move(left.stream),
+                               /*verify_input_order=*/true, BatchSize()));
+    plan.explain = "Coalesce" + BatchNote() + "\n" + Indent(left.explain);
     // Single-accumulator operator: workspace bound 1 (docs/ALGORITHMS.md);
     // output rows <= input rows (maximal intervals only).
     if (in_est.valid) {
@@ -1952,7 +1919,6 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
     double rows = 0.0;
     double ws = 0.0;
     std::string name;
-    std::string parallel_note = ParallelNote();
     switch (query_.sequenced_op) {
       case SequencedOp::kLeftJoin:
       case SequencedOp::kRightJoin:
@@ -1964,8 +1930,13 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
                             ? OuterJoinMode::kRight
                             : OuterJoinMode::kFull;
         oj.verify_input_order = verify;
-        oj.naming =
-            JoinNaming{query_.sequenced_left, query_.sequenced_right};
+        // A self join qualifies the right side's columns as <name>_2, so
+        // the two copies of each attribute stay distinct.
+        oj.naming = JoinNaming{
+            query_.sequenced_left,
+            query_.sequenced_right == query_.sequenced_left
+                ? query_.sequenced_right + "_2"
+                : query_.sequenced_right};
         name = StrFormat("%sOuterJoin [on overlaps]",
                          oj.mode == OuterJoinMode::kLeft
                              ? "Left"
@@ -1987,8 +1958,8 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
         }
         TEMPUS_ASSIGN_OR_RETURN(
             plan.stream,
-            MakeParallelOuterJoin(std::move(left.stream),
-                                  std::move(right.stream), oj, Threads()));
+            TemporalOuterJoin::Create(std::move(left.stream),
+                                      std::move(right.stream), oj));
         break;
       }
       case SequencedOp::kAntiJoin:
@@ -2011,13 +1982,12 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
         }
         TEMPUS_ASSIGN_OR_RETURN(
             plan.stream,
-            MakeParallelSubtract(std::move(left.stream),
-                                 std::move(right.stream), sub, Threads()));
+            TemporalSubtractStream::Create(std::move(left.stream),
+                                           std::move(right.stream), sub));
         break;
       }
       case SequencedOp::kUnion: {
         name = "SequencedUnion";
-        parallel_note.clear();  // A linear merge; never partitioned.
         if (have_est) {
           rows = ln + rn;
           ws = 0.0;
@@ -2025,8 +1995,8 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
         }
         TEMPUS_ASSIGN_OR_RETURN(
             plan.stream,
-            MakeParallelSequencedUnion(std::move(left.stream),
-                                       std::move(right.stream), Threads()));
+            SequencedUnionStream::Create(std::move(left.stream),
+                                         std::move(right.stream)));
         break;
       }
       case SequencedOp::kIntersect: {
@@ -2040,16 +2010,15 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
         }
         TEMPUS_ASSIGN_OR_RETURN(
             plan.stream,
-            MakeParallelSequencedIntersect(std::move(left.stream),
-                                           std::move(right.stream),
-                                           Threads()));
+            SequencedIntersectStream::Create(std::move(left.stream),
+                                             std::move(right.stream)));
         break;
       }
       default:
         return Status::Internal("unhandled sequenced operator");
     }
-    plan.explain = name + parallel_note + "\n" + Indent(left.explain) +
-                   "\n" + Indent(right.explain);
+    plan.explain = name + "\n" + Indent(left.explain) + "\n" +
+                   Indent(right.explain);
     if (have_est) {
       SetEst(&plan, rows, ws);
     } else {

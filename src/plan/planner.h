@@ -41,11 +41,7 @@ struct PlannerOptions {
   /// Stream operators verify their inputs' promised sort orders at run
   /// time (small per-tuple cost; invaluable during development).
   bool verify_sorted_inputs = true;
-  /// Worker threads for the pairwise temporal operators. 1 (the default)
-  /// plans the plain sequential operators; 0 means "one per hardware
-  /// thread"; K > 1 time-range partitions each pairwise join/semijoin
-  /// across a K-worker pool (src/parallel/, docs/PARALLEL.md). Results are
-  /// identical to the sequential plan.
+  /// Unused: kept only because tempusbench/harness.cc assigns it.
   size_t threads = 1;
   /// Batch size for the batch-at-a-time sweep operators (docs/BATCH.md).
   /// kNoBatchOverride (the default) resolves to the TEMPUS_BATCH_SIZE

@@ -111,7 +111,7 @@ Result<QueryResponse> TqlClient::Query(const std::string& tql,
   QueryResponse response;
   TEMPUS_RETURN_IF_ERROR(RoundTrip(
       wire::FrameType::kQuery,
-      wire::EncodeQueryRequest(options.deadline_ms, options.threads, tql),
+      wire::EncodeQueryRequest(options.deadline_ms, tql),
       &response, nullptr));
   return response;
 }

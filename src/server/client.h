@@ -30,15 +30,12 @@ struct QueryResponse {
 struct QueryCallOptions {
   /// Per-query deadline in milliseconds; 0 defers to the server default.
   uint32_t deadline_ms = 0;
-  /// Worker threads for the plan; kServerDefaultThreads defers to the
-  /// server's configured PlannerOptions (0 = one per hardware thread).
-  uint32_t threads = wire::kServerDefaultThreads;
 };
 
 /// A blocking client for the TQL wire protocol (docs/SERVER.md). One
 /// connection is one server session; queries on it run sequentially.
-/// Movable, not copyable. Used by tests, bench/server_throughput, and
-/// the tempus_client CLI.
+/// Movable, not copyable. Used by tests, tempusbench's serve workload,
+/// and the tempus_client CLI.
 class TqlClient {
  public:
   /// Connects to a numeric IPv4 address, e.g. {"127.0.0.1", port}.

@@ -116,12 +116,10 @@ Result<bool> ReadFrame(int fd, Frame* out) {
   return true;
 }
 
-std::string EncodeQueryRequest(uint32_t deadline_ms, uint32_t threads,
-                               std::string_view tql) {
+std::string EncodeQueryRequest(uint32_t deadline_ms, std::string_view tql) {
   std::string body;
-  body.reserve(tql.size() + 8);
+  body.reserve(tql.size() + 4);
   AppendU32(&body, deadline_ms);
-  AppendU32(&body, threads);
   body.append(tql);
   return body;
 }
@@ -130,7 +128,6 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view body) {
   QueryRequest request;
   size_t pos = 0;
   TEMPUS_ASSIGN_OR_RETURN(request.deadline_ms, ConsumeU32(body, &pos));
-  TEMPUS_ASSIGN_OR_RETURN(request.threads, ConsumeU32(body, &pos));
   request.tql.assign(body.substr(pos));
   return request;
 }

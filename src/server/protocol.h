@@ -21,7 +21,7 @@ namespace wire {
 /// (terminal) kError.
 enum class FrameType : uint8_t {
   // Requests (client -> server).
-  kQuery = 'Q',     ///< u32 deadline_ms, u32 threads, TQL text.
+  kQuery = 'Q',     ///< u32 deadline_ms, TQL text.
   kStats = 'S',     ///< Empty; server answers kStatsJson + kDone.
   kLoadCsv = 'L',   ///< "name\npath": load a CSV file into the catalog.
   kDropRel = 'X',   ///< "name": drop a relation.
@@ -38,10 +38,6 @@ enum class FrameType : uint8_t {
 /// Upper bound on a frame payload; larger lengths are treated as a
 /// malformed (or hostile) peer and fail the connection.
 inline constexpr size_t kMaxFramePayload = 16u << 20;
-
-/// Sentinel for "use the server's configured PlannerOptions::threads" in
-/// the kQuery threads field (0 itself means one-per-hardware-thread).
-inline constexpr uint32_t kServerDefaultThreads = 0xFFFFFFFFu;
 
 struct Frame {
   FrameType type = FrameType::kDone;
@@ -64,13 +60,11 @@ Status WriteFrame(int fd, FrameType type, std::string_view body);
 Result<bool> ReadFrame(int fd, Frame* out);
 
 /// Encodes a kQuery request body.
-std::string EncodeQueryRequest(uint32_t deadline_ms, uint32_t threads,
-                               std::string_view tql);
+std::string EncodeQueryRequest(uint32_t deadline_ms, std::string_view tql);
 
 /// Decoded kQuery request.
 struct QueryRequest {
   uint32_t deadline_ms = 0;
-  uint32_t threads = kServerDefaultThreads;
   std::string tql;
 };
 Result<QueryRequest> DecodeQueryRequest(std::string_view body);

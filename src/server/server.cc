@@ -20,9 +20,7 @@ namespace tempus {
 
 namespace {
 
-/// Field-wise counter sum for cross-query aggregates (unlike
-/// OperatorMetrics::Absorb, which models a parent absorbing a child's
-/// in-flight state inside one plan).
+/// Field-wise counter sum for cross-query aggregates.
 void Accumulate(OperatorMetrics* total, const OperatorMetrics& m) {
   total->tuples_read_left += m.tuples_read_left;
   total->tuples_read_right += m.tuples_read_right;
@@ -30,7 +28,6 @@ void Accumulate(OperatorMetrics* total, const OperatorMetrics& m) {
   total->comparisons += m.comparisons;
   total->passes_left += m.passes_left;
   total->passes_right += m.passes_right;
-  total->workers += m.workers;
   total->merge_comparisons += m.merge_comparisons;
   total->workspace_inserted += m.workspace_inserted;
   total->gc_discarded += m.gc_discarded;
@@ -293,9 +290,6 @@ Status TqlServer::HandleQuery(Session* session, const wire::Frame& frame) {
 
   PlannerOptions planner_options = options_.planner;
   planner_options.cancel = &token;
-  if (request->threads != wire::kServerDefaultThreads) {
-    planner_options.threads = request->threads;
-  }
   Result<QueryRun> run = engine_->RunQuery(request->tql, planner_options);
 
   {

@@ -39,14 +39,12 @@ struct ServerOptions {
   uint32_t shutdown_cancel_after_ms = 2000;
   /// Result CSV bytes per kRows frame.
   size_t row_batch_bytes = 64 * 1024;
-  /// Base planner options for every query; a request's threads field
-  /// (when not kServerDefaultThreads) overrides `planner.threads`.
+  /// Planner options for every query.
   PlannerOptions planner;
 };
 
 /// Monotone server-wide counters, readable while the server runs. The
-/// stats endpoint renders them next to MetricsToJson aggregates so the
-/// wire JSON and bench/server_throughput share one schema.
+/// stats endpoint renders them next to MetricsToJson aggregates.
 struct ServerCounters {
   std::atomic<uint64_t> sessions_opened{0};
   std::atomic<uint64_t> sessions_rejected{0};

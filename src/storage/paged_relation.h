@@ -27,8 +27,8 @@ inline constexpr size_t kStorageFrameBytes = 4096;
 /// disk-backed ones charge the same logical counts alongside the buffer
 /// pool's real byte traffic, so the two modes stay comparable.
 ///
-/// Thread-safe: parallel fan-out scans share one counter, so counts use
-/// relaxed atomics (ordering is irrelevant, only totals matter).
+/// Thread-safe: scans on different threads may share one counter, so
+/// counts use relaxed atomics (ordering is irrelevant, only totals matter).
 class PageIoCounter {
  public:
   void CountRead(uint64_t pages = 1) {

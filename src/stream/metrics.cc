@@ -1,36 +1,8 @@
 #include "stream/metrics.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace tempus {
-
-void OperatorMetrics::Absorb(const OperatorMetrics& child) {
-  tuples_read_left += child.tuples_read_left;
-  tuples_read_right += child.tuples_read_right;
-  tuples_emitted += child.tuples_emitted;
-  comparisons += child.comparisons;
-  passes_left += child.passes_left;
-  passes_right += child.passes_right;
-  workers += child.workers;
-  merge_comparisons += child.merge_comparisons;
-  workspace_inserted += child.workspace_inserted;
-  gc_discarded += child.gc_discarded;
-  gc_checks += child.gc_checks;
-  workspace_tuples += child.workspace_tuples;
-  peak_workspace_tuples =
-      std::max(peak_workspace_tuples, child.peak_workspace_tuples);
-  batches += child.batches;
-  batch_rows += child.batch_rows;
-  kernel_rows_in += child.kernel_rows_in;
-  kernel_rows_out += child.kernel_rows_out;
-  buffer_hits += child.buffer_hits;
-  buffer_misses += child.buffer_misses;
-  buffer_evictions += child.buffer_evictions;
-  buffer_bytes_read += child.buffer_bytes_read;
-  buffer_bytes_written += child.buffer_bytes_written;
-}
 
 std::string OperatorMetrics::ToString() const {
   std::string out = StrFormat(
@@ -58,11 +30,6 @@ std::string OperatorMetrics::ToString() const {
     out += StrFormat(" kernel=(in=%llu out=%llu)",
                      static_cast<unsigned long long>(kernel_rows_in),
                      static_cast<unsigned long long>(kernel_rows_out));
-  }
-  if (workers > 0) {
-    out += StrFormat(" workers=%llu merge_cmps=%llu",
-                     static_cast<unsigned long long>(workers),
-                     static_cast<unsigned long long>(merge_comparisons));
   }
   if (buffer_hits + buffer_misses + buffer_evictions +
           buffer_bytes_written >

@@ -34,9 +34,10 @@ struct OperatorMetrics {
   uint64_t comparisons = 0;
   uint64_t passes_left = 0;
   uint64_t passes_right = 0;
-  /// Worker slices executed by a parallel operator (0 for sequential ones).
+  /// Unused: kept only because tempusbench/harness.cc reads it.
   uint64_t workers = 0;
-  /// Tuple comparisons spent recombining worker outputs in order.
+  /// Comparisons spent choosing the next tuple of two ordered inputs in a
+  /// sequenced union/intersect merge.
   uint64_t merge_comparisons = 0;
   /// State tuples ever inserted into the workspace (cumulative).
   uint64_t workspace_inserted = 0;
@@ -84,15 +85,6 @@ struct OperatorMetrics {
     gc_discarded += workspace_tuples;
     workspace_tuples = 0;
   }
-
-  /// Merges a child operator's counters into this one (used when a
-  /// composite plan reports a single rollup). The child's live
-  /// `workspace_tuples` carry over (preserving the GC accounting
-  /// identity), but deliberately without routing through AddWorkspace:
-  /// absorbing a child with in-flight state must not inflate the parent's
-  /// cumulative or peak counters — the merged peak is the max of the two
-  /// peaks, never the combined live count.
-  void Absorb(const OperatorMetrics& child);
 
   std::string ToString() const;
 };

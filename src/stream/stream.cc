@@ -188,7 +188,6 @@ void CollectInto(const TupleStream& node, OperatorMetrics* total) {
   total->comparisons += m.comparisons;
   total->passes_left += m.passes_left;
   total->passes_right += m.passes_right;
-  total->workers += m.workers;
   total->merge_comparisons += m.merge_comparisons;
   total->workspace_inserted += m.workspace_inserted;
   total->gc_discarded += m.gc_discarded;

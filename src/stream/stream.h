@@ -143,10 +143,6 @@ class TupleStream {
   /// get empty spans).
   const LifespanRef* BatchLifespan();
 
-  /// Collector attached by EnableTracing, if any (for operators that emit
-  /// extra spans, e.g. per-worker attribution in ParallelJoinStream).
-  TraceCollector* trace() const { return trace_; }
-
   OperatorMetrics metrics_;
 
  private:

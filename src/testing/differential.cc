@@ -7,11 +7,21 @@
 
 #include "buffer/buffer_manager.h"
 #include "common/string_util.h"
+#include "join/allen_sweep_join.h"
+#include "join/batch_sweep.h"
 #include "join/before_join.h"
+#include "join/contain_join.h"
+#include "join/containment_semijoin.h"
+#include "join/hash_join.h"
 #include "join/nested_loop.h"
 #include "join/no_gc_join.h"
-#include "parallel/parallel_ops.h"
+#include "join/outer_join.h"
+#include "join/overlap_semijoin.h"
+#include "join/self_semijoin.h"
+#include "join/subtract.h"
 #include "relation/csv.h"
+#include "semantic/coalesce.h"
+#include "semantic/set_ops.h"
 #include "storage/paged_relation.h"
 #include "storage/paged_stream.h"
 #include "stream/basic_ops.h"
@@ -58,20 +68,25 @@ struct ScanSource {
   }
 };
 
-/// Sequential production operator (threads <= 1 makes the parallel
-/// wrappers build the sequential operator directly).
+/// Upcasts a factory result to the base stream type (Result<unique_ptr<D>>
+/// does not convert to Result<unique_ptr<B>> implicitly).
+template <typename T>
+Result<std::unique_ptr<TupleStream>> AsStream(Result<std::unique_ptr<T>> r) {
+  TEMPUS_ASSIGN_OR_RETURN(std::unique_ptr<T> stream, std::move(r));
+  return std::unique_ptr<TupleStream>(std::move(stream));
+}
+
+/// The production stream operator, built as the planner builds it.
 Result<std::unique_ptr<TupleStream>> BuildStreamOperator(
     const DifferentialCase& c, const ScanSource& left,
-    const ScanSource& right, size_t threads) {
+    const ScanSource& right) {
   switch (c.op) {
     case PairwiseOp::kContainJoin: {
       ContainJoinOptions options;
       options.left_order = c.left_order;
       options.right_order = c.right_order;
       options.batch_size = c.batch_size;
-      return MakeParallelContainJoin(left.Scan(),
-                                     right.Scan(), options,
-                                     threads);
+      return MakeContainJoin(left.Scan(), right.Scan(), options);
     }
     case PairwiseOp::kOverlapJoin: {
       AllenSweepJoinOptions options;
@@ -79,66 +94,53 @@ Result<std::unique_ptr<TupleStream>> BuildStreamOperator(
       options.left_order = c.left_order;
       options.right_order = c.right_order;
       options.batch_size = c.batch_size;
-      return MakeParallelAllenSweepJoin(left.Scan(),
-                                        right.Scan(), options,
-                                        threads);
+      return MakeAllenSweepJoin(left.Scan(), right.Scan(), options);
     }
     case PairwiseOp::kOverlapSemijoin: {
       OverlapSemijoinOptions options;
       options.order = c.left_order;
       options.batch_size = c.batch_size;
-      return MakeParallelOverlapSemijoin(left.Scan(),
-                                         right.Scan(), options,
-                                         threads);
+      return MakeOverlapSemijoin(left.Scan(), right.Scan(), options);
     }
     case PairwiseOp::kContainSemijoin: {
       TemporalSemijoinOptions options;
       options.left_order = c.left_order;
       options.right_order = c.right_order;
       options.batch_size = c.batch_size;
-      return MakeParallelContainSemijoin(left.Scan(),
-                                         right.Scan(), options,
-                                         threads);
+      return MakeContainSemijoin(left.Scan(), right.Scan(), options);
     }
     case PairwiseOp::kContainedSemijoin: {
       TemporalSemijoinOptions options;
       options.left_order = c.left_order;
       options.right_order = c.right_order;
       options.batch_size = c.batch_size;
-      return MakeParallelContainedSemijoin(left.Scan(),
-                                           right.Scan(),
-                                           options, threads);
+      return MakeContainedSemijoin(left.Scan(), right.Scan(), options);
     }
     case PairwiseOp::kBeforeJoin: {
       BeforeJoinOptions options;
       options.batch_size = c.batch_size;
-      return MakeParallelBeforeJoin(left.Scan(),
-                                    right.Scan(),
-                                    std::move(options), threads);
+      return AsStream(BeforeJoinStream::Create(left.Scan(), right.Scan(),
+                                               std::move(options)));
     }
     case PairwiseOp::kBeforeSemijoin: {
-      return MakeParallelBeforeSemijoin(left.Scan(),
-                                        right.Scan(), threads,
-                                        c.batch_size);
+      return AsStream(
+          BeforeSemijoin::Create(left.Scan(), right.Scan(), c.batch_size));
     }
     case PairwiseOp::kSelfContainedSemijoin: {
       SelfSemijoinOptions options;
       options.order = c.left_order;
       options.batch_size = c.batch_size;
-      return MakeParallelSelfContainedSemijoin(left.Scan(),
-                                               options, threads);
+      return MakeSelfContainedSemijoin(left.Scan(), options);
     }
     case PairwiseOp::kSelfContainSemijoin: {
       SelfSemijoinOptions options;
       options.order = c.left_order;
       options.batch_size = c.batch_size;
-      return MakeParallelSelfContainSemijoin(left.Scan(),
-                                             options, threads);
+      return MakeSelfContainSemijoin(left.Scan(), options);
     }
     case PairwiseOp::kEquiJoin: {
-      return MakeParallelHashEquiJoin(left.Scan(),
-                                      right.Scan(), {0}, {0},
-                                      nullptr, JoinNaming{}, threads);
+      return AsStream(HashEquiJoin::Create(left.Scan(), right.Scan(), {0},
+                                           {0}, nullptr, JoinNaming{}));
     }
     case PairwiseOp::kLeftOuterJoin:
     case PairwiseOp::kRightOuterJoin:
@@ -149,41 +151,30 @@ Result<std::unique_ptr<TupleStream>> BuildStreamOperator(
                          : c.op == PairwiseOp::kRightOuterJoin
                                ? OuterJoinMode::kRight
                                : OuterJoinMode::kFull;
-      return MakeParallelOuterJoin(left.Scan(), right.Scan(), options,
-                                   threads);
+      return AsStream(
+          TemporalOuterJoin::Create(left.Scan(), right.Scan(), options));
     }
-    case PairwiseOp::kAntiJoin: {
-      SubtractOptions options;
-      options.mode = SubtractMode::kAll;
-      return MakeParallelSubtract(left.Scan(), right.Scan(), options,
-                                  threads);
-    }
+    case PairwiseOp::kAntiJoin:
     case PairwiseOp::kExcept: {
       SubtractOptions options;
-      options.mode = SubtractMode::kValueEqual;
-      return MakeParallelSubtract(left.Scan(), right.Scan(), options,
-                                  threads);
+      options.mode = c.op == PairwiseOp::kAntiJoin ? SubtractMode::kAll
+                                                   : SubtractMode::kValueEqual;
+      return AsStream(
+          TemporalSubtractStream::Create(left.Scan(), right.Scan(), options));
     }
     case PairwiseOp::kUnion: {
-      return MakeParallelSequencedUnion(left.Scan(), right.Scan(), threads);
+      return AsStream(SequencedUnionStream::Create(left.Scan(), right.Scan()));
     }
     case PairwiseOp::kIntersect: {
-      return MakeParallelSequencedIntersect(left.Scan(), right.Scan(),
-                                            threads);
+      return AsStream(
+          SequencedIntersectStream::Create(left.Scan(), right.Scan()));
     }
     case PairwiseOp::kCoalesce: {
-      return MakeParallelCoalesce(left.Scan(), threads, c.batch_size);
+      return AsStream(CoalesceStream::Create(
+          left.Scan(), /*verify_input_order=*/true, c.batch_size));
     }
   }
   return Status::InvalidArgument("unknown operator");
-}
-
-/// Upcasts a factory result to the base stream type (Result<unique_ptr<D>>
-/// does not convert to Result<unique_ptr<B>> implicitly).
-template <typename T>
-Result<std::unique_ptr<TupleStream>> AsStream(Result<std::unique_ptr<T>> r) {
-  TEMPUS_ASSIGN_OR_RETURN(std::unique_ptr<T> stream, std::move(r));
-  return std::unique_ptr<TupleStream>(std::move(stream));
 }
 
 /// Order-free degenerate execution: NoGcStreamJoin for joins,
@@ -390,7 +381,6 @@ std::string FirstDiffLine(const std::string& engine,
 std::string_view ExecModeName(ExecMode mode) {
   switch (mode) {
     case ExecMode::kSequential: return "seq";
-    case ExecMode::kParallel: return "par";
     case ExecMode::kNoGc: return "nogc";
   }
   return "unknown";
@@ -398,7 +388,6 @@ std::string_view ExecModeName(ExecMode mode) {
 
 Result<ExecMode> ExecModeFromName(std::string_view name) {
   if (name == "seq") return ExecMode::kSequential;
-  if (name == "par") return ExecMode::kParallel;
   if (name == "nogc") return ExecMode::kNoGc;
   return Status::InvalidArgument("unknown exec mode: " + std::string(name));
 }
@@ -585,9 +574,8 @@ Result<DifferentialResult> RunDifferentialCase(const DifferentialCase& c) {
     TEMPUS_ASSIGN_OR_RETURN(stream,
                             BuildNoGcOperator(c, left_src, right_src));
   } else {
-    const size_t threads = c.mode == ExecMode::kParallel ? c.threads : 1;
-    TEMPUS_ASSIGN_OR_RETURN(
-        stream, BuildStreamOperator(c, left_src, right_src, threads));
+    TEMPUS_ASSIGN_OR_RETURN(stream,
+                            BuildStreamOperator(c, left_src, right_src));
   }
   if (c.kernel != KernelMode::kOff) {
     stream = WrapKernelFilter(std::move(stream), c.kernel, kernel_spec);
@@ -616,9 +604,8 @@ Result<DifferentialResult> RunDifferentialCase(const DifferentialCase& c) {
     result.compression_ratio = pool_stats.compression_ratio();
   }
 
-  // Workspace bounds: only the sequential operators instantiate the
-  // paper's Table 1-3 formulas (parallel slices replicate straddlers and
-  // the no-GC execution is unbounded by design).
+  // Workspace bounds: every stream operator instantiates the paper's
+  // Table 1-3 formulas (the no-GC execution is unbounded by design).
   if (c.mode == ExecMode::kSequential) {
     TEMPUS_ASSIGN_OR_RETURN(RelationStats sx, left.ComputeStats());
     TEMPUS_ASSIGN_OR_RETURN(RelationStats sy, right.ComputeStats());
@@ -686,10 +673,9 @@ Result<DifferentialResult> RunDifferentialCase(const DifferentialCase& c) {
   if (batched) {
     DifferentialCase twin_case = c;
     twin_case.batch_size = 0;
-    TEMPUS_ASSIGN_OR_RETURN(
-        std::unique_ptr<TupleStream> twin,
-        BuildStreamOperator(twin_case, left_src, right_src,
-                            c.mode == ExecMode::kParallel ? c.threads : 1));
+    TEMPUS_ASSIGN_OR_RETURN(std::unique_ptr<TupleStream> twin,
+                            BuildStreamOperator(twin_case, left_src,
+                                                right_src));
     if (c.kernel != KernelMode::kOff) {
       twin = WrapKernelFilter(std::move(twin), c.kernel, kernel_spec);
     }
@@ -712,7 +698,7 @@ std::string ReproCommand(const DifferentialCase& c) {
   std::string cmd = StrFormat(
       "tempus_check --op=%s --mode=%s --dist=%s --arrangement=%s "
       "--count=%zu --seed=%llu --right_seed=%llu --left_order=%s "
-      "--right_order=%s --threads=%zu",
+      "--right_order=%s",
       std::string(PairwiseOpName(c.op)).c_str(),
       std::string(ExecModeName(c.mode)).c_str(),
       std::string(DistributionName(c.distribution)).c_str(),
@@ -720,7 +706,7 @@ std::string ReproCommand(const DifferentialCase& c) {
       static_cast<unsigned long long>(c.seed),
       static_cast<unsigned long long>(c.right_seed),
       std::string(OrderToken(c.left_order)).c_str(),
-      std::string(OrderToken(c.right_order)).c_str(), c.threads);
+      std::string(OrderToken(c.right_order)).c_str());
   if (c.storage == StorageMode::kDisk) {
     cmd += StrFormat(" --storage=disk --frames=%zu --page=%zu",
                      c.frame_budget, c.tuples_per_page);

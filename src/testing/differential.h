@@ -17,7 +17,6 @@ namespace testing {
 /// How the production side of a differential case executes.
 enum class ExecMode {
   kSequential,  ///< The paper's single-threaded stream operator.
-  kParallel,    ///< Time-range partitioned execution (docs/PARALLEL.md).
   kNoGc,        ///< NoGcStreamJoin / NestedLoopSemijoin: order-free,
                 ///< unbounded-workspace degenerate stream processing.
 };
@@ -69,7 +68,6 @@ struct DifferentialCase {
   uint64_t right_seed = 0;  // 0 derives from `seed`.
   TemporalSortOrder left_order = kByValidFromAsc;
   TemporalSortOrder right_order = kByValidFromAsc;
-  size_t threads = 4;  // Worker count in kParallel mode.
   StorageMode storage = StorageMode::kMemory;
   /// kDisk only: frame budget of the case's private buffer pool (0 uses
   /// DefaultFrameBudget()). Budgets far below the dataset's page count
@@ -93,8 +91,7 @@ struct DifferentialResult {
   /// Engine and oracle outputs are byte-identical after canonical sorting.
   bool match = false;
   /// The instantiated Table 1-3 workspace bound held (always true when
-  /// bound_checked is false — parallel/no-GC modes and the repo's sweep
-  /// extensions have no paper bound).
+  /// bound_checked is false — the no-GC mode has no paper bound).
   bool bound_ok = true;
   bool bound_checked = false;
   /// workspace_inserted == gc_discarded + workspace_tuples over the plan.
@@ -119,7 +116,7 @@ struct DifferentialResult {
   bool ok() const { return match && bound_ok && ledger_ok && tuple_twin_ok; }
 };
 
-/// The (left, right) order combinations the sequential/parallel operator
+/// The (left, right) order combinations the stream operator
 /// accepts. Order-free operators (Before-join/semijoin, equi-join) return
 /// three input arrangements since any order works; self-semijoins use only
 /// the left element of each pair. The sequenced operators (outer/anti

@@ -13,8 +13,7 @@ namespace testing {
 
 /// The pairwise temporal operators under differential test — the paper's
 /// Figure 2 operator set as realized by the stream library plus the
-/// sequenced outer/anti joins, set operations, and coalescing (see
-/// src/parallel/parallel_ops.h for the production factories).
+/// sequenced outer/anti joins, set operations, and coalescing.
 enum class PairwiseOp {
   kContainJoin,
   kOverlapJoin,

@@ -10,7 +10,7 @@
 #include "common/cancellation.h"
 #include "common/fault.h"
 #include "exec/engine.h"
-#include "parallel/parallel_ops.h"
+#include "join/batch_sweep.h"
 #include "storage/external_sort.h"
 #include "storage/paged_stream.h"
 #include "stream/stream.h"
@@ -53,14 +53,12 @@ class ChaosQueryTest : public ::testing::Test {
     *right = SortedByOrder(*y, kByValidFromAsc);
   }
 
-  /// Builds a Contain-join over the pair; threads > 1 gets the parallel
-  /// wrapper.
+  /// Builds a Contain-join over the pair.
   std::unique_ptr<TupleStream> MakeJoin(const TemporalRelation& left,
-                                        const TemporalRelation& right,
-                                        size_t threads) {
-    Result<std::unique_ptr<TupleStream>> join = MakeParallelContainJoin(
+                                        const TemporalRelation& right) {
+    Result<std::unique_ptr<TupleStream>> join = MakeContainJoin(
         VectorStream::Scan(left), VectorStream::Scan(right),
-        ContainJoinOptions{}, threads);
+        ContainJoinOptions{});
     EXPECT_TRUE(join.ok()) << join.status().ToString();
     return join.ok() ? std::move(join).value() : nullptr;
   }
@@ -76,7 +74,7 @@ class ChaosQueryTest : public ::testing::Test {
 TEST_F(ChaosQueryTest, OpenFaultFailsTheQueryBeforeAnyRows) {
   TemporalRelation left("l", Schema()), right("r", Schema());
   MakeSortedPair(&left, &right);
-  std::unique_ptr<TupleStream> join = MakeJoin(left, right, /*threads=*/1);
+  std::unique_ptr<TupleStream> join = MakeJoin(left, right);
   ASSERT_NE(join, nullptr);
 
   FaultSpec spec;
@@ -96,7 +94,7 @@ TEST_F(ChaosQueryTest, MidDrainNextFaultNeverYieldsPartialSuccess) {
   MakeSortedPair(&left, &right);
 
   // Reference run without faults.
-  std::unique_ptr<TupleStream> clean = MakeJoin(left, right, 1);
+  std::unique_ptr<TupleStream> clean = MakeJoin(left, right);
   ASSERT_NE(clean, nullptr);
   const TemporalRelation expected =
       testing::MustMaterialize(clean.get(), "expected");
@@ -104,7 +102,7 @@ TEST_F(ChaosQueryTest, MidDrainNextFaultNeverYieldsPartialSuccess) {
 
   // Fault at the 25th Next() across the plan: mid-drain, after rows have
   // already flowed.
-  std::unique_ptr<TupleStream> join = MakeJoin(left, right, 1);
+  std::unique_ptr<TupleStream> join = MakeJoin(left, right);
   ASSERT_NE(join, nullptr);
   FaultSpec spec;
   spec.trigger_at = 25;
@@ -122,34 +120,10 @@ TEST_F(ChaosQueryTest, MidDrainNextFaultNeverYieldsPartialSuccess) {
   testing::ExpectSameTuples(retry, expected);
 }
 
-TEST_F(ChaosQueryTest, ParallelPipelineUnwindsWorkerFaultsCleanly) {
-  TemporalRelation left("l", Schema()), right("r", Schema());
-  MakeSortedPair(&left, &right);
-  std::unique_ptr<TupleStream> join = MakeJoin(left, right, /*threads=*/4);
-  ASSERT_NE(join, nullptr);
-
-  FaultSpec spec;
-  spec.trigger_at = 40;
-  spec.repeat = true;  // Every hit from the 40th fails, whichever worker.
-  spec.code = StatusCode::kUnavailable;
-  FaultInjector::Global().Arm("stream.next", spec);
-
-  Status status = join->Open();
-  if (status.ok()) {
-    Result<TemporalRelation> out = Materialize(join.get(), "out");
-    status = out.status();
-  }
-  // The fault fired somewhere in the fan-out; the pipeline must fail —
-  // no hang, no crash, no partial rows as success.
-  EXPECT_GE(FaultInjector::Global().FireCount("stream.next"), 1u);
-  EXPECT_FALSE(status.ok());
-  ExpectLedgerHolds(*join);
-}
-
 TEST_F(ChaosQueryTest, CancelFaultUnwindsThePlanAsCancelled) {
   TemporalRelation left("l", Schema()), right("r", Schema());
   MakeSortedPair(&left, &right);
-  std::unique_ptr<TupleStream> join = MakeJoin(left, right, 1);
+  std::unique_ptr<TupleStream> join = MakeJoin(left, right);
   ASSERT_NE(join, nullptr);
 
   CancellationToken token;
@@ -172,12 +146,12 @@ TEST_F(ChaosQueryTest, CancelFaultUnwindsThePlanAsCancelled) {
 TEST_F(ChaosQueryTest, DelayFaultSlowsButDoesNotCorrupt) {
   TemporalRelation left("l", Schema()), right("r", Schema());
   MakeSortedPair(&left, &right);
-  std::unique_ptr<TupleStream> clean = MakeJoin(left, right, 1);
+  std::unique_ptr<TupleStream> clean = MakeJoin(left, right);
   ASSERT_NE(clean, nullptr);
   const TemporalRelation expected =
       testing::MustMaterialize(clean.get(), "expected");
 
-  std::unique_ptr<TupleStream> join = MakeJoin(left, right, 1);
+  std::unique_ptr<TupleStream> join = MakeJoin(left, right);
   ASSERT_NE(join, nullptr);
   FaultSpec spec;
   spec.action = FaultAction::kDelay;

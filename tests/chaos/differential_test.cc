@@ -31,8 +31,8 @@ void CheckCase(const DifferentialCase& c) {
       << ReproCommand(c);
 }
 
-/// Every operator, every supported order combination, sequential and
-/// 4-worker parallel execution, across all six adversarial distributions.
+/// Every operator, every supported order combination, across all six
+/// adversarial distributions.
 /// Arrangements rotate deterministically so each shows up; seeds are fixed
 /// functions of the case index for reproducibility.
 TEST(DifferentialSuite, StreamModesAgreeWithOracleEverywhere) {
@@ -40,26 +40,22 @@ TEST(DifferentialSuite, StreamModesAgreeWithOracleEverywhere) {
   for (PairwiseOp op : AllPairwiseOps()) {
     for (const auto& [lo, ro] : SupportedOrders(op)) {
       for (Distribution dist : AllDistributions()) {
-        for (ExecMode mode : {ExecMode::kSequential, ExecMode::kParallel}) {
-          DifferentialCase c;
-          c.op = op;
-          c.mode = mode;
-          c.distribution = dist;
-          c.arrangement =
-              AllArrangements()[case_index % AllArrangements().size()];
-          c.count = 40;
-          c.seed = 1000 + case_index;
-          c.left_order = lo;
-          c.right_order = ro;
-          c.threads = 4;
-          CheckCase(c);
-          ++case_index;
-        }
+        DifferentialCase c;
+        c.op = op;
+        c.distribution = dist;
+        c.arrangement =
+            AllArrangements()[case_index % AllArrangements().size()];
+        c.count = 40;
+        c.seed = 1000 + case_index;
+        c.left_order = lo;
+        c.right_order = ro;
+        CheckCase(c);
+        ++case_index;
       }
     }
   }
-  // 10 operators x (2..4 orders) x 6 distributions x 2 modes.
-  EXPECT_GE(case_index, 10u * 2u * 6u * 2u);
+  // 10 operators x (2..4 orders) x 6 distributions.
+  EXPECT_GE(case_index, 10u * 2u * 6u);
 }
 
 /// The no-GC degenerate execution is order-free: run it under every input
@@ -93,8 +89,7 @@ TEST(DifferentialSuite, NoGcModeAgreesWithOracleUnderAnyOrder) {
 TEST(DifferentialSuite, EmptyAndSingletonOperands) {
   for (PairwiseOp op : AllPairwiseOps()) {
     for (size_t count : {size_t{0}, size_t{1}}) {
-      for (ExecMode mode : {ExecMode::kSequential, ExecMode::kParallel,
-                            ExecMode::kNoGc}) {
+      for (ExecMode mode : {ExecMode::kSequential, ExecMode::kNoGc}) {
         if (mode == ExecMode::kNoGc && !HasNoGcMode(op)) continue;
         DifferentialCase c;
         c.op = op;
@@ -148,8 +143,7 @@ TEST(DifferentialSuite, DiskModeThroughTinyPoolAgreesWithOracle) {
   size_t case_index = 0;
   size_t expected = 0;
   for (PairwiseOp op : AllPairwiseOps()) {
-    for (ExecMode mode : {ExecMode::kSequential, ExecMode::kParallel,
-                          ExecMode::kNoGc}) {
+    for (ExecMode mode : {ExecMode::kSequential, ExecMode::kNoGc}) {
       if (mode == ExecMode::kNoGc && !HasNoGcMode(op)) continue;
       ++expected;
       DifferentialCase c;
@@ -164,7 +158,6 @@ TEST(DifferentialSuite, DiskModeThroughTinyPoolAgreesWithOracle) {
       const auto orders = SupportedOrders(op);
       c.left_order = orders.front().first;
       c.right_order = orders.front().second;
-      c.threads = 4;
       c.storage = StorageMode::kDisk;
       c.frame_budget = 4;
       c.tuples_per_page = 8;
@@ -221,34 +214,30 @@ TEST(DifferentialSuite, ContainedSemijoinSweepRespectsBoundOnMeets) {
 }
 
 /// The batch axis (docs/BATCH.md): every operator at batch sizes 1, 3, 64,
-/// and 1024, sequential and parallel. Each case checks three ways at once —
+/// and 1024. Each case checks three ways at once —
 /// byte-identical to the brute-force oracle, byte-identical to the
 /// tuple-at-a-time twin of the same case, and ledger/bound clean on both.
 TEST(DifferentialSuite, BatchSizesAgreeWithOracleAndTuplePath) {
   size_t case_index = 0;
   for (PairwiseOp op : AllPairwiseOps()) {
     for (size_t batch : {size_t{1}, size_t{3}, size_t{64}, size_t{1024}}) {
-      for (ExecMode mode : {ExecMode::kSequential, ExecMode::kParallel}) {
-        DifferentialCase c;
-        c.op = op;
-        c.mode = mode;
-        c.distribution =
-            AllDistributions()[case_index % AllDistributions().size()];
-        c.arrangement =
-            AllArrangements()[case_index % AllArrangements().size()];
-        c.count = 48;
-        c.seed = 21000 + case_index;
-        const auto orders = SupportedOrders(op);
-        c.left_order = orders[case_index % orders.size()].first;
-        c.right_order = orders[case_index % orders.size()].second;
-        c.threads = 4;
-        c.batch_size = batch;
-        CheckCase(c);
-        ++case_index;
-      }
+      DifferentialCase c;
+      c.op = op;
+      c.distribution =
+          AllDistributions()[case_index % AllDistributions().size()];
+      c.arrangement =
+          AllArrangements()[case_index % AllArrangements().size()];
+      c.count = 48;
+      c.seed = 21000 + case_index;
+      const auto orders = SupportedOrders(op);
+      c.left_order = orders[case_index % orders.size()].first;
+      c.right_order = orders[case_index % orders.size()].second;
+      c.batch_size = batch;
+      CheckCase(c);
+      ++case_index;
     }
   }
-  EXPECT_EQ(case_index, AllPairwiseOps().size() * 4 * 2);
+  EXPECT_EQ(case_index, AllPairwiseOps().size() * 4);
 }
 
 /// Batch execution over disk-resident operands: the batch readers pull
@@ -299,16 +288,16 @@ TEST(DifferentialSuite, BatchContainedSemijoinSweepRespectsBoundOnMeets) {
 TEST(DifferentialSuite, ReproCommandRoundTripsItsTokens) {
   DifferentialCase c;
   c.op = PairwiseOp::kSelfContainSemijoin;
-  c.mode = ExecMode::kParallel;
+  c.mode = ExecMode::kNoGc;
   c.distribution = Distribution::kNestedChains;
   c.arrangement = Arrangement::kReverse;
   const std::string repro = ReproCommand(c);
   EXPECT_NE(repro.find("--op=self-contain-semijoin"), std::string::npos);
-  EXPECT_NE(repro.find("--mode=par"), std::string::npos);
+  EXPECT_NE(repro.find("--mode=nogc"), std::string::npos);
   EXPECT_NE(repro.find("--dist=nested-chains"), std::string::npos);
   EXPECT_NE(repro.find("--arrangement=reverse"), std::string::npos);
   TEMPUS_ASSERT_OK(PairwiseOpFromName("self-contain-semijoin").status());
-  TEMPUS_ASSERT_OK(ExecModeFromName("par").status());
+  TEMPUS_ASSERT_OK(ExecModeFromName("nogc").status());
   TEMPUS_ASSERT_OK(DistributionFromName("nested-chains").status());
   TEMPUS_ASSERT_OK(ArrangementFromName("reverse").status());
   TEMPUS_ASSERT_OK(OrderFromToken("to-desc").status());

@@ -13,6 +13,7 @@
 //      and the live peak never exceeds the insertions that fed it.
 
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "join/contain_join.h"
 #include "join/containment_semijoin.h"
 #include "join/hash_join.h"
-#include "join/merge_equi_join.h"
 #include "join/nested_loop.h"
 #include "join/no_gc_join.h"
 #include "join/overlap_semijoin.h"
@@ -68,6 +68,11 @@ struct InvariantWorkload {
   double mean_duration;
   uint64_t seed;
 };
+
+// Without this gtest prints the raw bytes of the struct, `name` pointer
+// included, so the listed test names (and the ctest names discovered from
+// them) would change with every address-space layout.
+void PrintTo(const InvariantWorkload& w, std::ostream* os) { *os << w.name; }
 
 class MetricsInvariantTest
     : public ::testing::TestWithParam<InvariantWorkload> {
@@ -260,35 +265,6 @@ TEST_P(MetricsInvariantTest, BeforeJoinAndSemijoin) {
     // Only needs the latest right endpoint: early exit on both sides.
     ExpectReadsMatchPasses(m, x_.size(), y_.size(),
                            /*exact_left=*/false, /*exact_right=*/false);
-    ExpectLedgerBalances(m);
-  }
-}
-
-TEST_P(MetricsInvariantTest, EndpointMergeJoins) {
-  {
-    const TemporalRelation xs = SortedByOrder(x_, kByValidFromAsc);
-    const TemporalRelation ys = SortedByOrder(y_, kByValidFromAsc);
-    Result<std::unique_ptr<EndpointMergeJoin>> join =
-        EndpointMergeJoin::Equal(VectorStream::Scan(xs),
-                                 VectorStream::Scan(ys));
-    ASSERT_TRUE(join.ok());
-    (void)MustMaterialize(join->get(), "out");
-    const OperatorMetrics& m = (*join)->metrics();
-    ExpectReadsMatchPasses(m, xs.size(), ys.size(),
-                           /*exact_left=*/true, /*exact_right=*/false);
-    ExpectLedgerBalances(m);
-  }
-  {
-    const TemporalRelation xs = SortedByOrder(x_, kByValidToAsc);
-    const TemporalRelation ys = SortedByOrder(y_, kByValidFromAsc);
-    Result<std::unique_ptr<EndpointMergeJoin>> join =
-        EndpointMergeJoin::Meets(VectorStream::Scan(xs),
-                                 VectorStream::Scan(ys));
-    ASSERT_TRUE(join.ok());
-    (void)MustMaterialize(join->get(), "out");
-    const OperatorMetrics& m = (*join)->metrics();
-    ExpectReadsMatchPasses(m, xs.size(), ys.size(),
-                           /*exact_left=*/true, /*exact_right=*/false);
     ExpectLedgerBalances(m);
   }
 }

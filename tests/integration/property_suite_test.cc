@@ -12,7 +12,6 @@
 #include "join/before_join.h"
 #include "join/contain_join.h"
 #include "join/containment_semijoin.h"
-#include "join/merge_equi_join.h"
 #include "join/overlap_semijoin.h"
 #include "join/self_semijoin.h"
 #include "testing/test_util.h"
@@ -198,31 +197,6 @@ TEST_P(OperatorPropertyTest, BeforeJoinAndSemijoin) {
   ExpectSameTuples(MustMaterialize(semi->get(), "out"),
                    ReferenceMaskSemijoin(
                        x_, y_, AllenMask::Single(AllenRelation::kBefore)));
-}
-
-TEST_P(OperatorPropertyTest, EndpointMergeJoins) {
-  {
-    const TemporalRelation xs = SortedByOrder(x_, kByValidFromAsc);
-    const TemporalRelation ys = SortedByOrder(y_, kByValidFromAsc);
-    Result<std::unique_ptr<EndpointMergeJoin>> join =
-        EndpointMergeJoin::Equal(VectorStream::Scan(xs),
-                                 VectorStream::Scan(ys));
-    ASSERT_TRUE(join.ok());
-    ExpectSameTuples(
-        MustMaterialize(join->get(), "out"),
-        ReferenceMaskJoin(xs, ys, AllenMask::Single(AllenRelation::kEqual)));
-  }
-  {
-    const TemporalRelation xs = SortedByOrder(x_, kByValidToAsc);
-    const TemporalRelation ys = SortedByOrder(y_, kByValidFromAsc);
-    Result<std::unique_ptr<EndpointMergeJoin>> join =
-        EndpointMergeJoin::Meets(VectorStream::Scan(xs),
-                                 VectorStream::Scan(ys));
-    ASSERT_TRUE(join.ok());
-    ExpectSameTuples(
-        MustMaterialize(join->get(), "out"),
-        ReferenceMaskJoin(xs, ys, AllenMask::Single(AllenRelation::kMeets)));
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,7 +17,6 @@
 #include "gtest/gtest.h"
 #include "join/containment_semijoin.h"
 #include "join/self_semijoin.h"
-#include "parallel/parallel_ops.h"
 #include "testing/test_util.h"
 
 namespace tempus {
@@ -240,36 +239,6 @@ TEST(BatchSweepTest, MidAndLargeBatchSizesMatchTuple) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
-}
-
-TEST(BatchSweepTest, PartialFinalBatchThroughParallelMerge) {
-  // 37 tuples across 3 workers with B=4: every slice ends in a partial
-  // batch, and the merge must still reproduce the sequential tuple result.
-  const TemporalRelation x = MakeRandomRel("x", 37, 4242);
-  const TemporalRelation y = MakeRandomRel("y", 37, 4243);
-  const TemporalRelation xs = SortedByOrder(x, kByValidFromAsc);
-  const TemporalRelation ys = SortedByOrder(y, kByValidFromAsc);
-
-  ContainJoinOptions tuple_options;
-  Result<std::unique_ptr<TupleStream>> tuple_op = MakeContainJoin(
-      VectorStream::Scan(xs), VectorStream::Scan(ys), tuple_options);
-  ASSERT_TRUE(tuple_op.ok()) << tuple_op.status().ToString();
-  Result<TemporalRelation> expected = Materialize(tuple_op->get(), "tuple");
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-
-  ContainJoinOptions batch_options;
-  batch_options.batch_size = 4;
-  Result<std::unique_ptr<TupleStream>> parallel = MakeParallelContainJoin(
-      VectorStream::Scan(xs), VectorStream::Scan(ys), batch_options,
-      /*threads=*/3);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  Result<TemporalRelation> actual =
-      MaterializeBatches(parallel->get(), "parallel", 4);
-  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-  ExpectSameTuples(*actual, *expected);
-
-  const OperatorMetrics m = CollectPlanMetrics(**parallel);
-  EXPECT_EQ(m.workspace_inserted, m.gc_discarded + m.workspace_tuples);
 }
 
 TEST(BatchSweepTest, RejectsInappropriateOrderingsLikeTuplePath) {

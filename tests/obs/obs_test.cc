@@ -38,19 +38,6 @@ TEST(TraceCollectorTest, RecordsSpansAndTimings) {
   EXPECT_TRUE(trace.empty());
 }
 
-TEST(TraceCollectorTest, WorkerSpansCarryMetrics) {
-  TraceCollector trace;
-  const int root = trace.AddSpan("join");
-  OperatorMetrics m;
-  m.tuples_emitted = 7;
-  const int w = trace.AddWorkerSpan("worker 0", root, 0, 1234, m);
-  EXPECT_EQ(trace.span(w).worker, 0);
-  EXPECT_TRUE(trace.span(w).has_metrics);
-  EXPECT_EQ(trace.span(w).metrics.tuples_emitted, 7u);
-  EXPECT_EQ(trace.span(w).next_ns, 1234u);
-  EXPECT_EQ(trace.span(root).worker, -1);
-}
-
 TEST(EnableTracingTest, RegistersWholePlanAndTimesDrain) {
   const TemporalRelation rel = MakeIntervals("R", {{1, 2}, {3, 4}, {5, 6}});
   FilterStream filter(VectorStream::Scan(rel),
@@ -98,7 +85,7 @@ TEST(MetricsJsonTest, StableKeyOrderAndValues) {
   EXPECT_EQ(json,
             "{\"tuples_read_left\":3,\"tuples_read_right\":0,"
             "\"tuples_emitted\":2,\"comparisons\":0,\"passes_left\":0,"
-            "\"passes_right\":0,\"workers\":0,\"merge_comparisons\":0,"
+            "\"passes_right\":0,\"merge_comparisons\":0,"
             "\"workspace_inserted\":5,\"gc_discarded\":4,\"gc_checks\":6,"
             "\"workspace_tuples\":1,\"peak_workspace_tuples\":2,"
             "\"buffer_hits\":7,\"buffer_misses\":8,\"buffer_evictions\":9,"

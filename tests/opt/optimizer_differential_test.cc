@@ -39,7 +39,7 @@ class OptimizerDifferentialTest : public ::testing::Test {
         engine->mutable_catalog()->Register(
             MakeWorkloadRelation("Z", spec).value()));
     // Detailed statistics on every input so the cost-based mode actually
-    // diverges from the heuristics (batch/parallel/cascade decisions are
+    // diverges from the heuristics (batch/cascade decisions are
     // gated on analyzed relations).
     for (const char* name : {"X", "Y", "Z"}) {
       TEMPUS_ASSERT_OK(engine->AnalyzeRelation(name).status());

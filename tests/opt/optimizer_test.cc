@@ -173,21 +173,6 @@ TEST(OptimizerTest, CascadeDegenerateSizes) {
   EXPECT_DOUBLE_EQ(one.est_rows, 5.0);
 }
 
-TEST(OptimizerTest, ParallelDegreeRespectsExplicitRequests) {
-  const Optimizer opt(OptimizerMode::kCostBased, nullptr);
-  // Explicit requests (including "one per core" = 0) always win.
-  EXPECT_EQ(opt.ChooseParallelDegree(1e9, 8), 8u);
-  EXPECT_EQ(opt.ChooseParallelDegree(1e9, 0), 0u);
-  // Default request: threshold decides.
-  EXPECT_EQ(opt.ChooseParallelDegree(Optimizer::kParallelRowThreshold - 1, 1),
-            1u);
-  EXPECT_EQ(opt.ChooseParallelDegree(Optimizer::kParallelRowThreshold, 1),
-            Optimizer::kParallelDegree);
-  // Heuristic mode never overrides.
-  const Optimizer heuristic(OptimizerMode::kHeuristic, nullptr);
-  EXPECT_EQ(heuristic.ChooseParallelDegree(1e9, 1), 1u);
-}
-
 TEST(OptimizerTest, BatchSizeDropsToTupleBelowThreshold) {
   const Optimizer opt(OptimizerMode::kCostBased, nullptr);
   // Interpreted path: the full threshold decides.

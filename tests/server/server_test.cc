@@ -4,7 +4,7 @@
 // through the cooperative cancellation hook, admission-control overload
 // rejection, malformed-frame handling, catalog load/drop racing running
 // queries, and graceful shutdown. Built in the TSan tree as the
-// concurrency check next to parallel_test (ROADMAP tier 1).
+// concurrency check (ROADMAP tier 1).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>

@@ -91,17 +91,6 @@ TEST(MetricsTest, WorkspaceAccounting) {
   EXPECT_EQ(m.workspace_tuples, 0u);
 }
 
-TEST(MetricsTest, AbsorbTakesMaxPeak) {
-  OperatorMetrics a, b;
-  a.AddWorkspace(2);
-  b.AddWorkspace(5);
-  a.tuples_emitted = 1;
-  b.tuples_emitted = 2;
-  a.Absorb(b);
-  EXPECT_EQ(a.peak_workspace_tuples, 5u);
-  EXPECT_EQ(a.tuples_emitted, 3u);
-}
-
 TEST(MetricsTest, ToStringMentionsCounters) {
   OperatorMetrics m;
   m.tuples_emitted = 7;
