@@ -153,19 +153,23 @@ Status Engine::SaveCsv(const std::string& name,
 
 Result<std::shared_ptr<const IntervalStats>> Engine::AnalyzeRelation(
     const std::string& name) const {
-  Result<const TemporalRelation*> mem = catalog_.Lookup(name);
+  TEMPUS_ASSIGN_OR_RETURN(Catalog::Entry entry, catalog_.Find(name));
+  if (!entry.stats.has_value()) {
+    return Status::FailedPrecondition("analyze requires a temporal schema: " +
+                                      name);
+  }
   IntervalStats stats;
-  if (mem.ok()) {
-    TEMPUS_ASSIGN_OR_RETURN(stats, BuildIntervalStats(**mem));
+  if (entry.relation != nullptr) {
+    TEMPUS_ASSIGN_OR_RETURN(stats,
+                            BuildIntervalStats(*entry.relation, *entry.stats));
   } else {
     // Disk-backed relation: materialize through the buffer pool (analyze
     // is a full scan by definition; the pool bounds residency).
-    TEMPUS_ASSIGN_OR_RETURN(std::shared_ptr<const PagedRelation> paged,
-                            catalog_.LookupPaged(name));
-    PagedScanStream scan(paged, nullptr);
+    PagedScanStream scan(entry.paged, nullptr);
     TEMPUS_ASSIGN_OR_RETURN(TemporalRelation materialized,
                             Materialize(&scan, name));
-    TEMPUS_ASSIGN_OR_RETURN(stats, BuildIntervalStats(materialized));
+    TEMPUS_ASSIGN_OR_RETURN(stats,
+                            BuildIntervalStats(materialized, *entry.stats));
   }
   stats_.Put(name, std::move(stats));
   return stats_.Lookup(name);
@@ -179,13 +183,16 @@ Status Engine::DropRelation(const std::string& name) {
 Status Engine::SpillRelation(const std::string& name, size_t tuples_per_page,
                              BufferManager* pool) {
   if (pool == nullptr) pool = &BufferManager::Global();
-  TEMPUS_ASSIGN_OR_RETURN(const TemporalRelation* relation,
-                          catalog_.Lookup(name));
+  TEMPUS_ASSIGN_OR_RETURN(Catalog::Entry entry, catalog_.Find(name));
+  if (entry.relation == nullptr) {
+    return Status::NotFound("unknown relation: " + name);
+  }
   TEMPUS_ASSIGN_OR_RETURN(
       PagedRelation paged,
-      PagedRelation::SpillToDisk(*relation, tuples_per_page, pool));
+      PagedRelation::SpillToDisk(*entry.relation, tuples_per_page, pool));
   catalog_.RegisterOrReplacePaged(
-      name, std::make_shared<const PagedRelation>(std::move(paged)));
+      name, std::make_shared<const PagedRelation>(std::move(paged)),
+      std::move(entry.stats));
   return Status::Ok();
 }
 

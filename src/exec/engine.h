@@ -102,13 +102,14 @@ class Engine {
   /// Writes a registered relation to a CSV file.
   Status SaveCsv(const std::string& name, const std::string& path) const;
 
-  /// Builds (or refreshes) interval statistics for relation `name` —
-  /// endpoint/duration histograms and the live-tuple concurrency profile
-  /// (docs/OPTIMIZER.md) — and stores them in the stats catalog. Works for
-  /// in-memory and disk-backed (spilled) relations; the latter are scanned
-  /// through the buffer pool. Const because query execution is const: the
-  /// "analyze <relation>" TQL statement lands here from RunQuery, and the
-  /// stats catalog is internally synchronized.
+  /// Builds (or refreshes) interval statistics for relation `name` — its
+  /// registered scalar stats plus endpoint/duration histograms and the
+  /// live-tuple concurrency profile (docs/OPTIMIZER.md) — and stores them
+  /// in the stats catalog; FailedPrecondition for a non-temporal schema.
+  /// Works for in-memory and disk-backed (spilled) relations; the latter
+  /// are scanned through the buffer pool. Const because query execution
+  /// is const: the "analyze <relation>" TQL statement lands here from
+  /// RunQuery, and the stats catalog is internally synchronized.
   Result<std::shared_ptr<const IntervalStats>> AnalyzeRelation(
       const std::string& name) const;
 
@@ -118,10 +119,11 @@ class Engine {
   Status DropRelation(const std::string& name);
 
   /// Spills the in-memory relation `name` to a compressed on-disk page
-  /// file and atomically re-registers it as disk-backed: subsequent
-  /// queries scan it through the buffer pool (docs/STORAGE.md). Running
-  /// snapshot-based queries keep the in-memory copy alive until they
-  /// finish. `pool` defaults to BufferManager::Global().
+  /// file and atomically re-registers it as disk-backed, keeping the stats
+  /// its catalog entry got at registration: subsequent queries scan it
+  /// through the buffer pool (docs/STORAGE.md). Running snapshot-based
+  /// queries keep the in-memory copy alive until they finish. `pool`
+  /// defaults to BufferManager::Global().
   Status SpillRelation(const std::string& name, size_t tuples_per_page = 1024,
                        BufferManager* pool = nullptr);
 

@@ -24,21 +24,18 @@ const char* OptimizerModeName(OptimizerMode mode) {
 }
 
 IntervalStats Optimizer::StatsFor(const std::string& name,
-                                  const RelationStats& fallback) const {
+                                  const RelationStats& registered) const {
   // Heuristic mode plans from coarse scalars only, so TEMPUS_OPTIMIZER=off
   // reproduces the pre-optimizer planner exactly even after `analyze`.
   if (cost_based() && stats_catalog_ != nullptr) {
     std::shared_ptr<const IntervalStats> stored =
         stats_catalog_->Lookup(name);
-    if (stored != nullptr && stored->detailed) return *stored;
+    if (stored != nullptr && stored->detailed &&
+        stored->tuple_count == registered.tuple_count) {
+      return *stored;
+    }
   }
-  return CoarseStats(fallback);
-}
-
-bool Optimizer::HasDetailedStats(const std::string& name) const {
-  if (stats_catalog_ == nullptr) return false;
-  std::shared_ptr<const IntervalStats> stored = stats_catalog_->Lookup(name);
-  return stored != nullptr && stored->detailed;
+  return CoarseStats(registered);
 }
 
 OrderChoice Optimizer::ChooseContainJoinOrder(

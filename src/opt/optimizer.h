@@ -55,14 +55,13 @@ class Optimizer {
   OptimizerMode mode() const { return mode_; }
   bool cost_based() const { return mode_ == OptimizerMode::kCostBased; }
 
-  /// Best available statistics for relation `name`: the analyzed
-  /// IntervalStats when the catalog has them, else coarse statistics from
-  /// the scalar fallback.
+  /// Best available statistics for relation `name`, whose registered
+  /// scalars are `registered`: the analyzed IntervalStats when the stats
+  /// catalog has them for a relation of the same tuple count, else coarse
+  /// statistics from `registered` (so histograms left stale by a replace
+  /// are ignored). Only a cost-based optimizer returns detailed stats.
   IntervalStats StatsFor(const std::string& name,
-                         const RelationStats& fallback) const;
-
-  /// True when `name` has analyze-built (detailed) statistics.
-  bool HasDetailedStats(const std::string& name) const;
+                         const RelationStats& registered) const;
 
   /// Chooses the contain-join right order by total cost: workspace of the
   /// Table 1 (a)/(b) alternative plus the enforcer-sort cost it induces

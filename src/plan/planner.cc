@@ -127,36 +127,30 @@ std::string Indent(const std::string& block) {
   return out;
 }
 
-/// A range variable's resolved storage — exactly one of the two handles is
-/// set. In-memory relations are borrowed from the catalog (kept alive by
-/// the snapshot the planner runs against); disk-backed relations are
-/// shared handles planned from their spill-time metadata (schema, declared
-/// order, pre-computed stats) and scanned through the buffer pool.
-struct BoundRel {
-  const TemporalRelation* mem = nullptr;
-  std::shared_ptr<const PagedRelation> paged;
-
+/// A range variable's resolved catalog entry — exactly one of the two
+/// handles is set. In-memory relations are scanned directly; disk-backed
+/// relations are planned from their metadata (schema, declared order) and
+/// scanned through the buffer pool. Both carry the stats computed when
+/// they were registered.
+struct BoundRel : Catalog::Entry {
   const Schema& schema() const {
-    return mem != nullptr ? mem->schema() : paged->schema();
+    return relation != nullptr ? relation->schema() : paged->schema();
   }
   const std::string& name() const {
-    return mem != nullptr ? mem->name() : paged->name();
+    return relation != nullptr ? relation->name() : paged->name();
   }
-  size_t size() const { return mem != nullptr ? mem->size() : paged->size(); }
+  size_t size() const {
+    return relation != nullptr ? relation->size() : paged->size();
+  }
   const std::optional<SortSpec>& known_order() const {
-    return mem != nullptr ? mem->known_order() : paged->known_order();
-  }
-  Result<RelationStats> Stats() const {
-    if (mem != nullptr) return mem->ComputeStats();
-    if (paged->stats().has_value()) return *paged->stats();
-    return Status::FailedPrecondition(
-        "disk-backed relation has no spill-time stats: " + paged->name());
+    return relation != nullptr ? relation->known_order()
+                               : paged->known_order();
   }
   /// True when two range variables scan the same stored relation (the
   /// self-join detection pointer compare, generalized to both kinds).
   bool SameSource(const BoundRel& o) const {
-    return mem != nullptr ? mem == o.mem
-                          : (o.paged != nullptr && paged == o.paged);
+    return relation != nullptr ? relation == o.relation
+                               : (o.paged != nullptr && paged == o.paged);
   }
 };
 
@@ -196,6 +190,9 @@ class PlanBuilder {
   Status Resolve();
   Status Classify();
   Status Analyze();
+  /// A scan of `rel` with its known order and row estimate.
+  Result<SubPlan> BuildScan(const BoundRel& rel) const;
+  /// `var`'s scan plus its pushed selections.
   Result<SubPlan> BuildBase(size_t var) const;
   Result<SubPlan> EnsureOrder(SubPlan plan, TemporalSortOrder order) const;
   Result<SubPlan> PlanTwoVarStream(SubPlan left, SubPlan right, size_t lv,
@@ -207,9 +204,12 @@ class PlanBuilder {
   // --- sequenced whole-relation statements ---------------------------------
   // (outer/anti joins, set operations, coalescing; docs/TQL.md.)
   Result<PlannedQuery> BuildSequenced();
-  Result<BoundRel> BindSequencedRel(const std::string& name) const;
-  Result<SubPlan> BuildSequencedScan(const BoundRel& rel) const;
-  std::optional<IntervalStats> StatsOf(const BoundRel& rel) const;
+
+  /// Resolves a relation name to its catalog entry.
+  Result<BoundRel> Bind(const std::string& name) const {
+    TEMPUS_ASSIGN_OR_RETURN(Catalog::Entry entry, catalog_->Find(name));
+    return BoundRel{std::move(entry)};
+  }
 
   // Compiles every still-unapplied deferred/essential predicate that is
   // fully contained in `plan`'s variables into a filter.
@@ -220,21 +220,12 @@ class PlanBuilder {
                                      std::vector<size_t> pending_ids) const;
 
   // --- cost estimation -----------------------------------------------------
-  /// Best available statistics for `var`: analyze-built interval stats
-  /// when present, else coarse stats from the relation's scalars; nullopt
-  /// when even scalars are unavailable (disk-backed without spill stats).
-  std::optional<IntervalStats> VarStats(size_t var) const {
-    Result<RelationStats> scalars = relations_[var].Stats();
-    if (!scalars.ok()) return std::nullopt;
-    return optimizer_.StatsFor(relations_[var].name(), *scalars);
-  }
-  /// True when both sides of a pair carry analyze-built statistics and the
-  /// optimizer runs cost-based — the gate for the batch-size decision, so
-  /// un-analyzed catalogs plan exactly as before.
-  bool DetailedPair(size_t lv, size_t rv) const {
-    return optimizer_.cost_based() &&
-           optimizer_.HasDetailedStats(relations_[lv].name()) &&
-           optimizer_.HasDetailedStats(relations_[rv].name());
+  /// Best available statistics for `rel`: fresh analyze-built interval
+  /// stats when present, else coarse stats from its registered scalars;
+  /// nullopt when it has none (a non-temporal schema).
+  std::optional<IntervalStats> StatsOf(const BoundRel& rel) const {
+    if (!rel.stats.has_value()) return std::nullopt;
+    return optimizer_.StatsFor(rel.name(), *rel.stats);
   }
   /// Estimated fraction of `var`'s tuples passing its pushed selections.
   double SelectionSelectivity(size_t var, const IntervalStats& stats) const;
@@ -390,16 +381,7 @@ Status PlanBuilder::Resolve() {
     if (!seen.insert(rv.name).second) {
       return Status::InvalidArgument("duplicate range variable: " + rv.name);
     }
-    BoundRel bound;
-    const Result<const TemporalRelation*> rel = catalog_->Lookup(rv.relation);
-    if (rel.ok()) {
-      bound.mem = rel.value();
-    } else {
-      Result<std::shared_ptr<const PagedRelation>> paged =
-          catalog_->LookupPaged(rv.relation);
-      if (!paged.ok()) return rel.status();  // The canonical NotFound text.
-      bound.paged = std::move(paged).value();
-    }
+    TEMPUS_ASSIGN_OR_RETURN(BoundRel bound, Bind(rv.relation));
     relations_.push_back(std::move(bound));
     var_names_.push_back(rv.name);
   }
@@ -597,12 +579,11 @@ Status PlanBuilder::Analyze() {
   return Status::Ok();
 }
 
-Result<SubPlan> PlanBuilder::BuildBase(size_t var) const {
+Result<SubPlan> PlanBuilder::BuildScan(const BoundRel& rel) const {
   SubPlan plan;
-  const BoundRel& rel = relations_[var];
   std::unique_ptr<TupleStream> stream;
-  if (rel.mem != nullptr) {
-    stream = VectorStream::Scan(*rel.mem);
+  if (rel.relation != nullptr) {
+    stream = VectorStream::Scan(*rel.relation);
     plan.explain =
         "Scan " + rel.name() + StrFormat(" [%zu tuples]", rel.size());
   } else {
@@ -627,11 +608,18 @@ Result<SubPlan> PlanBuilder::BuildBase(size_t var) const {
     }
   }
   plan.stream = std::move(stream);
-  plan.var_offsets[var] = 0;
-  const std::optional<IntervalStats> stats = VarStats(var);
-  if (stats.has_value()) {
+  if (rel.stats.has_value()) {
     SetEst(&plan, static_cast<double>(rel.size()), 0.0);
   }
+  StampLabel(&plan);
+  return plan;
+}
+
+Result<SubPlan> PlanBuilder::BuildBase(size_t var) const {
+  const BoundRel& rel = relations_[var];
+  TEMPUS_ASSIGN_OR_RETURN(SubPlan plan, BuildScan(rel));
+  plan.var_offsets[var] = 0;
+  const std::optional<IntervalStats> stats = StatsOf(rel);
   if (!selections_[var].empty()) {
     const std::vector<Selection>& sels = selections_[var];
     std::vector<std::string> displays;
@@ -942,8 +930,8 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
   const Schema& rschema = relations_[rv].schema();
 
   // --- cost estimation context for this pair ---
-  const std::optional<IntervalStats> lstats = VarStats(lv);
-  const std::optional<IntervalStats> rstats = VarStats(rv);
+  const std::optional<IntervalStats> lstats = StatsOf(relations_[lv]);
+  const std::optional<IntervalStats> rstats = StatsOf(relations_[rv]);
   const NodeEstimate left_in = left.est;    // Filtered input cardinalities
   const NodeEstimate right_in = right.est;  // (before any enforcer sorts).
   const bool have_stats = lstats.has_value() && rstats.has_value() &&
@@ -964,7 +952,7 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
   // carry analyze-built statistics, so un-analyzed catalogs keep the
   // environment-driven default (and TEMPUS_OPTIMIZER=off reproduces it
   // exactly).
-  if (have_stats && DetailedPair(lv, rv)) {
+  if (have_stats && lstats->detailed && rstats->detailed) {
     const size_t batch =
         optimizer_.ChooseBatchSize(left_in.rows + right_in.rows, BatchSize());
     if (batch != BatchSize()) {
@@ -1551,7 +1539,7 @@ Result<std::optional<SubPlan>> PlanBuilder::TrySuperstar() {
           BatchNote() + "\n" + Indent(gap_plan.explain) + "\n" +
           Indent(c_plan.explain);
       if (gap_plan.est.valid) {
-        const std::optional<IntervalStats> cs = VarStats(c);
+        const std::optional<IntervalStats> cs = StatsOf(relations_[c]);
         SetEst(&plan, gap_plan.est.rows * kDefaultPairSelectivity,
                cs.has_value() ? EstimateSweepSemijoin(*cs).tuples : 0.0);
       }
@@ -1581,7 +1569,7 @@ Result<SubPlan> PlanBuilder::PlanCascade() {
     bool have_all = true;
     std::vector<IntervalStats> stats(n);
     for (size_t i = 0; i < n && have_all; ++i) {
-      std::optional<IntervalStats> s = VarStats(i);
+      std::optional<IntervalStats> s = StatsOf(relations_[i]);
       if (!s.has_value()) {
         have_all = false;
         break;
@@ -1806,67 +1794,14 @@ Result<SubPlan> PlanBuilder::Finalize(SubPlan plan) {
   return plan;
 }
 
-Result<BoundRel> PlanBuilder::BindSequencedRel(const std::string& name) const {
-  BoundRel bound;
-  const Result<const TemporalRelation*> rel = catalog_->Lookup(name);
-  if (rel.ok()) {
-    bound.mem = rel.value();
-  } else {
-    Result<std::shared_ptr<const PagedRelation>> paged =
-        catalog_->LookupPaged(name);
-    if (!paged.ok()) return rel.status();  // The canonical NotFound text.
-    bound.paged = std::move(paged).value();
-  }
-  return bound;
-}
-
-std::optional<IntervalStats> PlanBuilder::StatsOf(const BoundRel& rel) const {
-  Result<RelationStats> scalars = rel.Stats();
-  if (!scalars.ok()) return std::nullopt;
-  return optimizer_.StatsFor(rel.name(), *scalars);
-}
-
-Result<SubPlan> PlanBuilder::BuildSequencedScan(const BoundRel& rel) const {
-  SubPlan plan;
-  std::unique_ptr<TupleStream> stream;
-  if (rel.mem != nullptr) {
-    stream = VectorStream::Scan(*rel.mem);
-    plan.explain =
-        "Scan " + rel.name() + StrFormat(" [%zu tuples]", rel.size());
-  } else {
-    stream = std::make_unique<PagedScanStream>(rel.paged, nullptr);
-    plan.explain =
-        "DiskScan " + rel.name() +
-        StrFormat(" [%zu tuples, %zu pages, %.2fx compressed]", rel.size(),
-                  rel.paged->page_count(), rel.paged->compression_ratio());
-  }
-  stream->set_label(plan.explain);
-  if (rel.known_order().has_value() && rel.schema().has_lifespan()) {
-    for (const TemporalSortOrder& o : AllTemporalSortOrders()) {
-      Result<SortSpec> spec = o.ToSortSpec(rel.schema());
-      if (spec.ok() && spec.value().SatisfiedBy(*rel.known_order())) {
-        plan.order = o;
-        break;
-      }
-    }
-  }
-  plan.stream = std::move(stream);
-  if (StatsOf(rel).has_value()) {
-    SetEst(&plan, static_cast<double>(rel.size()), 0.0);
-  }
-  StampLabel(&plan);
-  return plan;
-}
-
 Result<PlannedQuery> PlanBuilder::BuildSequenced() {
   PlannedQuery out;
   out.into = query_.into;
   out.optimizer_mode = OptimizerModeName(optimizer_.mode());
   const bool verify = options_.verify_sorted_inputs;
 
-  TEMPUS_ASSIGN_OR_RETURN(BoundRel left_rel,
-                          BindSequencedRel(query_.sequenced_left));
-  TEMPUS_ASSIGN_OR_RETURN(SubPlan left, BuildSequencedScan(left_rel));
+  TEMPUS_ASSIGN_OR_RETURN(BoundRel left_rel, Bind(query_.sequenced_left));
+  TEMPUS_ASSIGN_OR_RETURN(SubPlan left, BuildScan(left_rel));
   const std::optional<IntervalStats> ls = StatsOf(left_rel);
   SubPlan plan;
 
@@ -1905,8 +1840,8 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
     }
   } else {
     TEMPUS_ASSIGN_OR_RETURN(BoundRel right_rel,
-                            BindSequencedRel(query_.sequenced_right));
-    TEMPUS_ASSIGN_OR_RETURN(SubPlan right, BuildSequencedScan(right_rel));
+                            Bind(query_.sequenced_right));
+    TEMPUS_ASSIGN_OR_RETURN(SubPlan right, BuildScan(right_rel));
     const std::optional<IntervalStats> rs = StatsOf(right_rel);
     const double ln = static_cast<double>(left_rel.size());
     const double rn = static_cast<double>(right_rel.size());

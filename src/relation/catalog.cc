@@ -1,68 +1,75 @@
 #include "relation/catalog.h"
 
-#include <algorithm>
 #include <mutex>
 
 #include "common/fault.h"
 
 namespace tempus {
 
+namespace {
+
+Catalog::Entry InMemoryEntry(TemporalRelation relation) {
+  Catalog::Entry entry;
+  Result<RelationStats> stats = relation.ComputeStats();
+  if (stats.ok()) entry.stats = std::move(stats).value();
+  entry.relation =
+      std::make_shared<const TemporalRelation>(std::move(relation));
+  return entry;
+}
+
+}  // namespace
+
 Status Catalog::Register(TemporalRelation relation) {
   TEMPUS_FAULT_POINT("catalog.register");
   const std::string name = relation.name();
+  Entry entry = InMemoryEntry(std::move(relation));
   std::unique_lock<std::shared_mutex> lock(*mu_);
-  if (relations_.count(name) > 0 || paged_.count(name) > 0) {
+  if (!entries_.emplace(name, std::move(entry)).second) {
     return Status::AlreadyExists("relation already registered: " + name);
   }
-  relations_.emplace(
-      name, std::make_shared<const TemporalRelation>(std::move(relation)));
   return Status::Ok();
 }
 
 void Catalog::RegisterOrReplace(TemporalRelation relation) {
   const std::string name = relation.name();
+  Entry entry = InMemoryEntry(std::move(relation));
   std::unique_lock<std::shared_mutex> lock(*mu_);
-  paged_.erase(name);
-  relations_.insert_or_assign(
-      name, std::make_shared<const TemporalRelation>(std::move(relation)));
-}
-
-Status Catalog::RegisterPaged(const std::string& name,
-                              std::shared_ptr<const PagedRelation> relation) {
-  TEMPUS_FAULT_POINT("catalog.register");
-  if (relation == nullptr) {
-    return Status::InvalidArgument("null paged relation: " + name);
-  }
-  std::unique_lock<std::shared_mutex> lock(*mu_);
-  if (relations_.count(name) > 0 || paged_.count(name) > 0) {
-    return Status::AlreadyExists("relation already registered: " + name);
-  }
-  paged_.emplace(name, std::move(relation));
-  return Status::Ok();
+  entries_.insert_or_assign(name, std::move(entry));
 }
 
 void Catalog::RegisterOrReplacePaged(
-    const std::string& name,
-    std::shared_ptr<const PagedRelation> relation) {
+    const std::string& name, std::shared_ptr<const PagedRelation> relation,
+    std::optional<RelationStats> stats) {
+  Entry entry;
+  entry.paged = std::move(relation);
+  entry.stats = std::move(stats);
   std::unique_lock<std::shared_mutex> lock(*mu_);
-  relations_.erase(name);
-  paged_.insert_or_assign(name, std::move(relation));
+  entries_.insert_or_assign(name, std::move(entry));
+}
+
+Result<Catalog::Entry> Catalog::Find(const std::string& name) const {
+  std::shared_lock<std::shared_mutex> lock(*mu_);
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    return Status::NotFound("unknown relation: " + name);
+  }
+  return it->second;
 }
 
 Result<std::shared_ptr<const PagedRelation>> Catalog::LookupPaged(
     const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(*mu_);
-  auto it = paged_.find(name);
-  if (it == paged_.end()) {
+  auto it = entries_.find(name);
+  if (it == entries_.end() || it->second.paged == nullptr) {
     return Status::NotFound("unknown disk-backed relation: " + name);
   }
-  return it->second;
+  return it->second.paged;
 }
 
 Status Catalog::Drop(const std::string& name) {
   TEMPUS_FAULT_POINT("catalog.drop");
   std::unique_lock<std::shared_mutex> lock(*mu_);
-  if (relations_.erase(name) == 0 && paged_.erase(name) == 0) {
+  if (entries_.erase(name) == 0) {
     return Status::NotFound("unknown relation: " + name);
   }
   return Status::Ok();
@@ -71,36 +78,34 @@ Status Catalog::Drop(const std::string& name) {
 Result<const TemporalRelation*> Catalog::Lookup(
     const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(*mu_);
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
+  auto it = entries_.find(name);
+  if (it == entries_.end() || it->second.relation == nullptr) {
     return Status::NotFound("unknown relation: " + name);
   }
-  return it->second.get();
+  return it->second.relation.get();
 }
 
 bool Catalog::Contains(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(*mu_);
-  return relations_.count(name) > 0 || paged_.count(name) > 0;
+  return entries_.count(name) > 0;
 }
 
 std::vector<std::string> Catalog::Names() const {
   std::shared_lock<std::shared_mutex> lock(*mu_);
   std::vector<std::string> names;
-  names.reserve(relations_.size() + paged_.size());
-  for (const auto& [name, rel] : relations_) names.push_back(name);
-  for (const auto& [name, rel] : paged_) names.push_back(name);
-  std::sort(names.begin(), names.end());
+  names.reserve(entries_.size());
+  for (const auto& [name, entry] : entries_) names.push_back(name);
   return names;
 }
 
 size_t Catalog::size() const {
   std::shared_lock<std::shared_mutex> lock(*mu_);
-  return relations_.size() + paged_.size();
+  return entries_.size();
 }
 
 Catalog Catalog::Snapshot() const {
   std::shared_lock<std::shared_mutex> lock(*mu_);
-  return Catalog(relations_, paged_);
+  return Catalog(entries_);
 }
 
 }  // namespace tempus

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -21,8 +22,12 @@ class PagedRelation;
 /// The catalog layer never dereferences PagedRelation (it is forward-
 /// declared here), so the relation library stays independent of storage.
 ///
-/// Concurrency: relations are stored as shared handles to immutable
-/// objects, and every member takes a reader/writer lock, so Register /
+/// Each entry carries its relation's RelationStats, computed once when the
+/// relation is registered: the relation is immutable while registered, so
+/// the planner reads the stats instead of recomputing them per query.
+///
+/// Concurrency: entries hold shared handles to immutable objects, and
+/// every member takes a reader/writer lock, so Register /
 /// RegisterOrReplace / Drop are safe against concurrent lookups. A raw
 /// pointer returned by Lookup() is only guaranteed to stay valid while no
 /// concurrent Drop/replace can retire the relation — cross-thread
@@ -32,34 +37,43 @@ class PagedRelation;
 /// reads; docs/SERVER.md).
 class Catalog {
  public:
+  /// One registered relation: exactly one of `relation` and `paged` is
+  /// set. `stats` is nullopt when the schema has no lifespan.
+  struct Entry {
+    std::shared_ptr<const TemporalRelation> relation;
+    std::shared_ptr<const PagedRelation> paged;
+    std::optional<RelationStats> stats;
+  };
+
   Catalog() = default;
   Catalog(Catalog&&) = default;
   Catalog& operator=(Catalog&&) = default;
 
-  /// Registers `relation` under its name; fails on duplicates.
+  /// Registers `relation` under its name; fails on duplicates. Computes
+  /// the relation's stats before taking the write lock.
   Status Register(TemporalRelation relation);
 
-  /// Registers or replaces.
+  /// Registers or replaces (with freshly computed stats).
   void RegisterOrReplace(TemporalRelation relation);
 
   /// Removes the relation; NotFound if absent. Snapshots taken earlier
   /// keep the relation alive until they are destroyed.
   Status Drop(const std::string& name);
 
+  /// The entry registered under `name`, of either kind; NotFound if absent.
+  Result<Entry> Find(const std::string& name) const;
+
+  /// The in-memory relation registered under `name`.
   Result<const TemporalRelation*> Lookup(const std::string& name) const;
 
-  /// Registers a disk-backed relation under `name` (the caller passes the
-  /// relation's own name; this layer cannot read it from the forward-
-  /// declared handle). Fails if the name exists in either map.
-  Status RegisterPaged(const std::string& name,
-                       std::shared_ptr<const PagedRelation> relation);
-
-  /// Registers or replaces `name` with a disk-backed relation, retiring
-  /// any in-memory relation of that name in the same critical section
-  /// (the atomic swap Engine::SpillRelation relies on). Earlier snapshots
-  /// keep the retired in-memory relation alive.
+  /// Registers or replaces `name` with a disk-backed relation whose stats
+  /// are `stats`, retiring any in-memory relation of that name in the same
+  /// critical section (the atomic swap Engine::SpillRelation relies on;
+  /// it passes the retired entry's stats). Earlier snapshots keep the
+  /// retired in-memory relation alive.
   void RegisterOrReplacePaged(const std::string& name,
-                              std::shared_ptr<const PagedRelation> relation);
+                              std::shared_ptr<const PagedRelation> relation,
+                              std::optional<RelationStats> stats);
 
   /// The disk-backed relation registered under `name`, if any.
   Result<std::shared_ptr<const PagedRelation>> LookupPaged(
@@ -72,24 +86,20 @@ class Catalog {
   size_t size() const;
 
   /// An isolated, immutable copy sharing the relation storage (cheap:
-  /// one shared handle per relation). Queries planned against the
-  /// snapshot see exactly the relations registered at snapshot time.
+  /// two shared handles and the stats per relation). Queries planned
+  /// against the snapshot see exactly the relations registered at
+  /// snapshot time.
   Catalog Snapshot() const;
 
  private:
-  using RelationMap =
-      std::map<std::string, std::shared_ptr<const TemporalRelation>>;
-  using PagedMap =
-      std::map<std::string, std::shared_ptr<const PagedRelation>>;
+  using EntryMap = std::map<std::string, Entry>;
 
-  Catalog(RelationMap relations, PagedMap paged)
-      : relations_(std::move(relations)), paged_(std::move(paged)) {}
+  explicit Catalog(EntryMap entries) : entries_(std::move(entries)) {}
 
   // unique_ptr so Catalog stays movable (snapshots are returned by value).
   std::unique_ptr<std::shared_mutex> mu_ =
       std::make_unique<std::shared_mutex>();
-  RelationMap relations_;
-  PagedMap paged_;
+  EntryMap entries_;
 };
 
 }  // namespace tempus

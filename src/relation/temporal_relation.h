@@ -30,6 +30,8 @@ struct RelationStats {
   /// Maximum number of lifespans containing any single time point; this is
   /// exactly the paper's "X tuples whose lifespan span t" state bound.
   size_t max_concurrency = 0;
+
+  bool operator==(const RelationStats&) const = default;
 };
 
 /// An in-memory temporal relation: a schema plus a bag of tuples, with

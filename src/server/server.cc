@@ -20,22 +20,6 @@ namespace tempus {
 
 namespace {
 
-/// Field-wise counter sum for cross-query aggregates.
-void Accumulate(OperatorMetrics* total, const OperatorMetrics& m) {
-  total->tuples_read_left += m.tuples_read_left;
-  total->tuples_read_right += m.tuples_read_right;
-  total->tuples_emitted += m.tuples_emitted;
-  total->comparisons += m.comparisons;
-  total->passes_left += m.passes_left;
-  total->passes_right += m.passes_right;
-  total->merge_comparisons += m.merge_comparisons;
-  total->workspace_inserted += m.workspace_inserted;
-  total->gc_discarded += m.gc_discarded;
-  total->gc_checks += m.gc_checks;
-  total->workspace_tuples += m.workspace_tuples;
-  total->peak_workspace_tuples += m.peak_workspace_tuples;
-}
-
 /// The GC ledger identity every operator maintains (stream/metrics.h);
 /// checked on every finished query, cancelled ones included.
 bool LedgerHolds(const OperatorMetrics& m) {
@@ -318,11 +302,11 @@ Status TqlServer::HandleQuery(Session* session, const wire::Frame& frame) {
   {
     std::lock_guard<std::mutex> lock(session->mu);
     ++session->queries;
-    Accumulate(&session->totals, run->metrics);
+    session->totals += run->metrics;
   }
   {
     std::lock_guard<std::mutex> lock(totals_mu_);
-    Accumulate(&totals_, run->metrics);
+    totals_ += run->metrics;
   }
 
   if (!run->status.ok()) {

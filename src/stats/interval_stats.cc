@@ -461,9 +461,13 @@ IntervalStats CoarseStats(const RelationStats& scalars) {
 }
 
 Result<IntervalStats> BuildIntervalStats(const TemporalRelation& relation,
+                                         const RelationStats& scalars,
                                          size_t buckets) {
   TEMPUS_FAULT_POINT("stats.build");
-  TEMPUS_ASSIGN_OR_RETURN(RelationStats scalars, relation.ComputeStats());
+  if (!relation.schema().has_lifespan()) {
+    return Status::FailedPrecondition("stats require a temporal schema: " +
+                                      relation.schema().ToString());
+  }
   IntervalStats stats = CoarseStats(scalars);
   stats.detailed = true;
   const size_t n = relation.size();

@@ -93,11 +93,14 @@ struct IntervalStats {
   static Result<IntervalStats> FromJson(const std::string& json);
 };
 
-/// Scans `relation` once (plus endpoint sorts) and builds full statistics:
-/// equi-depth endpoint/duration histograms with `buckets` buckets and a
-/// sweep-sampled concurrency profile. Carries the "stats.build" fault
-/// point (docs/TESTING.md). Requires a temporal schema.
+/// Builds full statistics for `relation` from `scalars`, the RelationStats
+/// computed when it was registered (Catalog::Entry), plus one scan (and
+/// endpoint sorts) for the distributions: equi-depth endpoint/duration
+/// histograms with `buckets` buckets and a sweep-sampled concurrency
+/// profile. Carries the "stats.build" fault point (docs/TESTING.md).
+/// Requires a temporal schema.
 Result<IntervalStats> BuildIntervalStats(const TemporalRelation& relation,
+                                         const RelationStats& scalars,
                                          size_t buckets = 32);
 
 /// Coarse statistics from scalars only (no histograms); used when a

@@ -30,10 +30,6 @@ Result<PagedRelation> PagedRelation::SpillToDisk(
   }
   TEMPUS_RETURN_IF_ERROR(paged.FlushTail(io));
   paged.known_order_ = relation.known_order();
-  // Stats are cheap to compute now, while the data is still in memory,
-  // and impossible to compute later without reading the whole file back.
-  Result<RelationStats> stats = relation.ComputeStats();
-  if (stats.ok()) paged.stats_ = std::move(stats).value();
   return paged;
 }
 

@@ -66,8 +66,8 @@ class PagedRelation {
                                             size_t tuples_per_page);
 
   /// Disk-backed: encodes `relation` into a fresh temporary page file,
-  /// carrying over its name, schema, declared order, and (pre-computed)
-  /// stats so the planner can cost it without touching the data. `pool`
+  /// carrying over its name, schema and declared order. (Its stats stay on
+  /// the catalog entry; Engine::SpillRelation hands them on.) `pool`
   /// must outlive the relation; `io` (optional) is charged one write per
   /// page spilled.
   static Result<PagedRelation> SpillToDisk(const TemporalRelation& relation,
@@ -147,10 +147,6 @@ class PagedRelation {
   const std::optional<SortSpec>& known_order() const { return known_order_; }
   void DeclareOrder(SortSpec spec) { known_order_ = std::move(spec); }
 
-  /// Stats pre-computed at spill time (disk mode), for cost estimation
-  /// without materializing the data.
-  const std::optional<RelationStats>& stats() const { return stats_; }
-
   /// raw / encoded bytes of the backing file (1.0 in memory mode or when
   /// nothing has been written).
   double compression_ratio() const;
@@ -174,7 +170,6 @@ class PagedRelation {
 
   size_t tuple_count_ = 0;
   std::optional<SortSpec> known_order_;
-  std::optional<RelationStats> stats_;
 };
 
 }  // namespace tempus

@@ -4,6 +4,31 @@
 
 namespace tempus {
 
+OperatorMetrics& OperatorMetrics::operator+=(const OperatorMetrics& m) {
+  tuples_read_left += m.tuples_read_left;
+  tuples_read_right += m.tuples_read_right;
+  tuples_emitted += m.tuples_emitted;
+  comparisons += m.comparisons;
+  passes_left += m.passes_left;
+  passes_right += m.passes_right;
+  merge_comparisons += m.merge_comparisons;
+  workspace_inserted += m.workspace_inserted;
+  gc_discarded += m.gc_discarded;
+  gc_checks += m.gc_checks;
+  workspace_tuples += m.workspace_tuples;
+  peak_workspace_tuples += m.peak_workspace_tuples;
+  batches += m.batches;
+  batch_rows += m.batch_rows;
+  kernel_rows_in += m.kernel_rows_in;
+  kernel_rows_out += m.kernel_rows_out;
+  buffer_hits += m.buffer_hits;
+  buffer_misses += m.buffer_misses;
+  buffer_evictions += m.buffer_evictions;
+  buffer_bytes_read += m.buffer_bytes_read;
+  buffer_bytes_written += m.buffer_bytes_written;
+  return *this;
+}
+
 std::string OperatorMetrics::ToString() const {
   std::string out = StrFormat(
       "read=(%llu,%llu) emitted=%llu cmps=%llu passes=(%llu,%llu) "

@@ -86,6 +86,10 @@ struct OperatorMetrics {
     workspace_tuples = 0;
   }
 
+  /// Field-wise sum of every counter in `m` (`workers` aside) — the one
+  /// rollup behind plan-wide metrics and the server's totals.
+  OperatorMetrics& operator+=(const OperatorMetrics& m);
+
   std::string ToString() const;
 };
 

@@ -181,28 +181,7 @@ Result<TemporalRelation> Materialize(TupleStream* stream,
 namespace {
 
 void CollectInto(const TupleStream& node, OperatorMetrics* total) {
-  const OperatorMetrics& m = node.metrics();
-  total->tuples_read_left += m.tuples_read_left;
-  total->tuples_read_right += m.tuples_read_right;
-  total->tuples_emitted += m.tuples_emitted;
-  total->comparisons += m.comparisons;
-  total->passes_left += m.passes_left;
-  total->passes_right += m.passes_right;
-  total->merge_comparisons += m.merge_comparisons;
-  total->workspace_inserted += m.workspace_inserted;
-  total->gc_discarded += m.gc_discarded;
-  total->gc_checks += m.gc_checks;
-  total->workspace_tuples += m.workspace_tuples;
-  total->peak_workspace_tuples += m.peak_workspace_tuples;
-  total->batches += m.batches;
-  total->batch_rows += m.batch_rows;
-  total->kernel_rows_in += m.kernel_rows_in;
-  total->kernel_rows_out += m.kernel_rows_out;
-  total->buffer_hits += m.buffer_hits;
-  total->buffer_misses += m.buffer_misses;
-  total->buffer_evictions += m.buffer_evictions;
-  total->buffer_bytes_read += m.buffer_bytes_read;
-  total->buffer_bytes_written += m.buffer_bytes_written;
+  *total += node.metrics();
   for (const TupleStream* child : node.children()) {
     CollectInto(*child, total);
   }

@@ -161,6 +161,43 @@ TEST(EngineTest, SpillRelationKeepsQueryResultsIdentical) {
   testing::ExpectSameTuples(*after, *before);
 }
 
+TEST(EngineTest, StaleAnalyzeStatsAreIgnoredAfterReplace) {
+  tempus::testing::WorkloadSpec spec;
+  spec.count = 100;
+  Engine engine;
+  TEMPUS_ASSERT_OK(engine.mutable_catalog()->Register(
+      tempus::testing::MakeWorkloadRelation("R", spec).value()));
+  TEMPUS_ASSERT_OK(engine.AnalyzeRelation("R").status());
+  // Replace R with a relation ten times larger; its histograms go stale.
+  spec.count = 1000;
+  const TemporalRelation bigger =
+      tempus::testing::MakeWorkloadRelation("R", spec).value();
+  engine.mutable_catalog()->RegisterOrReplace(bigger);
+  Engine never_analyzed;
+  TEMPUS_ASSERT_OK(never_analyzed.mutable_catalog()->Register(bigger));
+
+  PlannerOptions options;
+  options.optimizer = OptimizerMode::kCostBased;
+  const std::string tql =
+      "range of a is R range of b is R retrieve (a.S, b.S) "
+      "where a overlap b and a.ValidFrom < 300";
+  Result<std::string> stale = engine.Explain(tql, options);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_NE(stale->find("Scan R [1000 tuples] est=(rows=1000 "),
+            std::string::npos)
+      << *stale;
+  // The planner costs R from its new catalog entry, exactly as if it had
+  // never been analyzed.
+  Result<std::string> coarse = never_analyzed.Explain(tql, options);
+  ASSERT_TRUE(coarse.ok()) << coarse.status().ToString();
+  EXPECT_EQ(*stale, *coarse);
+
+  // Analyzing again brings the histograms back into play.
+  TEMPUS_ASSERT_OK(engine.AnalyzeRelation("R").status());
+  EXPECT_EQ(engine.stats().CheckFreshness("R", 1000),
+            StatsCatalog::Freshness::kFresh);
+}
+
 TEST(EngineTest, ExplainAnalyzeOnSpilledRelationsShowsBufferTraffic) {
   BufferManager pool(8);  // Must outlive the engine (see above).
   Engine engine;

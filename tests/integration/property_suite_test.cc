@@ -4,6 +4,7 @@
 // bounded-state operators must respect their Table 1/2/3 workspace bounds.
 
 #include <memory>
+#include <ostream>
 
 #include "common/random.h"
 #include "datagen/interval_gen.h"
@@ -33,6 +34,11 @@ struct WorkloadShape {
   DurationModel model;
   uint64_t seed;
 };
+
+// Without this gtest prints the raw bytes of the struct, `name` pointer
+// included, so the listed test names (and the ctest names discovered from
+// them) would change with every address-space layout.
+void PrintTo(const WorkloadShape& w, std::ostream* os) { *os << w.name; }
 
 class OperatorPropertyTest : public ::testing::TestWithParam<WorkloadShape> {
  protected:

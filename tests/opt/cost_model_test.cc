@@ -115,7 +115,7 @@ TEST(CostModelTest, EndpointSelectivityReadsHistograms) {
   std::vector<std::pair<TimePoint, TimePoint>> spans;
   for (TimePoint t = 0; t < 100; ++t) spans.emplace_back(t, t + 5);
   const TemporalRelation rel = testing::MakeIntervals("R", spans);
-  const IntervalStats stats = BuildIntervalStats(rel).value();
+  const IntervalStats stats = testing::BuildStats(rel).value();
   ASSERT_TRUE(stats.detailed);
   const double lt = EstimateEndpointSelectivity(stats, true, SelOp::kLt, 50);
   EXPECT_NEAR(lt, 0.5, 0.1);
@@ -130,7 +130,7 @@ TEST(CostModelTest, DetailedConcurrencyUsesProfile) {
   std::vector<std::pair<TimePoint, TimePoint>> spans;
   for (TimePoint t = 0; t < 100; ++t) spans.emplace_back(t, t + 10);
   const TemporalRelation rel = testing::MakeIntervals("R", spans);
-  const IntervalStats stats = BuildIntervalStats(rel).value();
+  const IntervalStats stats = testing::BuildStats(rel).value();
   ASSERT_TRUE(stats.detailed);
   ASSERT_FALSE(stats.profile.empty());
   EXPECT_DOUBLE_EQ(ExpectedConcurrency(stats), stats.profile.mean_live);

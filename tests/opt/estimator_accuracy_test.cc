@@ -83,8 +83,8 @@ void CheckEstimators(Distribution d, Arrangement a) {
   spec.seed = 12;
   const TemporalRelation y = MakeWorkloadRelation("y", spec).value();
 
-  const IntervalStats xs = BuildIntervalStats(x).value();
-  const IntervalStats ys = BuildIntervalStats(y).value();
+  const IntervalStats xs = testing::BuildStats(x).value();
+  const IntervalStats ys = testing::BuildStats(y).value();
   ASSERT_TRUE(xs.detailed);
   const GroundTruth truth = BruteForce(x, y);
   const double n = static_cast<double>(kCount);

@@ -72,7 +72,7 @@ TEST(OptimizerTest, HeuristicModeIgnoresDetailedStats) {
   // after `analyze`: StatsFor falls back to coarse scalars.
   StatsCatalog catalog;
   IntervalStats detailed =
-      BuildIntervalStats(MakeIntervals("r", {{0, 10}, {2, 8}, {4, 12}}))
+      testing::BuildStats(MakeIntervals("r", {{0, 10}, {2, 8}, {4, 12}}))
           .value();
   catalog.Put("r", detailed);
 
@@ -86,8 +86,12 @@ TEST(OptimizerTest, HeuristicModeIgnoresDetailedStats) {
 
   const Optimizer cost(OptimizerMode::kCostBased, &catalog);
   EXPECT_TRUE(cost.StatsFor("r", fallback).detailed);
-  EXPECT_TRUE(cost.HasDetailedStats("r"));
-  EXPECT_FALSE(cost.HasDetailedStats("missing"));
+  EXPECT_FALSE(cost.StatsFor("missing", fallback).detailed);
+  // Histograms of a relation since replaced at another size are stale.
+  RelationStats resized = fallback;
+  resized.tuple_count = 30;
+  EXPECT_FALSE(cost.StatsFor("r", resized).detailed);
+  EXPECT_EQ(cost.StatsFor("r", resized).tuple_count, 30u);
 }
 
 TEST(OptimizerTest, HeuristicReusesFreeOrderUnconditionally) {

@@ -439,6 +439,35 @@ TEST_F(ServerTest, RemoteLoadCsvAndDrop) {
   ::unlink(path.c_str());
 }
 
+// The unsigned counter `key` in the first JSON object following `after`.
+uint64_t CounterAfter(const std::string& json, const std::string& after,
+                      const std::string& key) {
+  const size_t scope = json.find(after);
+  EXPECT_NE(scope, std::string::npos) << after << " missing: " << json;
+  if (scope == std::string::npos) return 0;
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle, scope);
+  EXPECT_NE(at, std::string::npos) << key << " missing: " << json;
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + needle.size()));
+}
+
+TEST_F(ServerTest, StatsTotalsCountBatchWork) {
+  ServerOptions options;
+  options.planner.batch_size = 64;
+  StartServer(options);
+  TqlClient client = MustConnect();
+  Result<QueryResponse> response = client.Query(kWorkload[0]);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  Result<std::string> stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // The cross-query totals and the session rollup sum the same fields as
+  // each query's own metrics, the batch counters included.
+  EXPECT_GT(CounterAfter(*stats, "\"totals\":", "batches"), 0u);
+  EXPECT_GT(CounterAfter(*stats, "\"totals\":", "batch_rows"), 0u);
+  EXPECT_GT(CounterAfter(*stats, "\"sessions\":", "batches"), 0u);
+}
+
 TEST_F(ServerTest, GracefulShutdownDrainsAndJoinsEverything) {
   ServerOptions options;
   options.shutdown_cancel_after_ms = 50;

@@ -1,11 +1,18 @@
 #include "stats/interval_stats.h"
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
+#include "buffer/buffer_manager.h"
+#include "datagen/interval_gen.h"
+#include "exec/engine.h"
 #include "gtest/gtest.h"
 #include "stats/stats_catalog.h"
 #include "testing/test_util.h"
+#include "testing/workload.h"
 
 namespace tempus {
 namespace {
@@ -53,7 +60,7 @@ TEST(IntervalStatsTest, BuildComputesScalarsAndDistributions) {
   std::vector<std::pair<TimePoint, TimePoint>> spans;
   for (TimePoint t = 0; t < 100; ++t) spans.emplace_back(t, t + 10);
   const TemporalRelation rel = MakeIntervals("R", spans);
-  const Result<IntervalStats> built = BuildIntervalStats(rel, 8);
+  const Result<IntervalStats> built = testing::BuildStats(rel, 8);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const IntervalStats& s = built.value();
   EXPECT_TRUE(s.detailed);
@@ -80,7 +87,7 @@ TEST(IntervalStatsTest, ProfileSamplingStaysBounded) {
   std::vector<std::pair<TimePoint, TimePoint>> spans;
   for (TimePoint t = 0; t < 5000; ++t) spans.emplace_back(2 * t, 2 * t + 7);
   const IntervalStats s =
-      BuildIntervalStats(MakeIntervals("R", spans)).value();
+      testing::BuildStats(MakeIntervals("R", spans)).value();
   EXPECT_LE(s.profile.at.size(), 64u);
   EXPECT_EQ(s.profile.at.size(), s.profile.live.size());
   for (size_t i = 1; i < s.profile.at.size(); ++i) {
@@ -92,7 +99,7 @@ TEST(IntervalStatsTest, JsonRoundTripsDetailedStats) {
   std::vector<std::pair<TimePoint, TimePoint>> spans;
   for (TimePoint t = 0; t < 50; ++t) spans.emplace_back(3 * t, 3 * t + 20);
   const IntervalStats s =
-      BuildIntervalStats(MakeIntervals("R", spans), 8).value();
+      testing::BuildStats(MakeIntervals("R", spans), 8).value();
   const Result<IntervalStats> back = IntervalStats::FromJson(s.ToJson());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   const IntervalStats& b = back.value();
@@ -120,7 +127,7 @@ TEST(IntervalStatsTest, JsonRoundTripsSentinelEndpoints) {
   // An empty relation keeps the kMaxTime/kMinTime sentinels; the JSON
   // codec must carry full-range int64 values exactly.
   const TemporalRelation empty = MakeIntervals("E", {});
-  const IntervalStats s = BuildIntervalStats(empty).value();
+  const IntervalStats s = testing::BuildStats(empty).value();
   EXPECT_EQ(s.tuple_count, 0u);
   EXPECT_EQ(s.min_valid_from, kMaxTime);
   EXPECT_EQ(s.max_valid_to, kMinTime);
@@ -188,6 +195,66 @@ TEST(StatsCatalogTest, FreshnessTracksTupleCount) {
   EXPECT_STREQ(
       StatsCatalog::FreshnessLabel(StatsCatalog::Freshness::kStale),
       "stale");
+}
+
+// `analyze` through the engine — scalars from the catalog entry, then
+// histograms and profile — must reproduce, byte for byte, the statistics
+// recorded in tests/stats/golden/analyze_stats.txt (one "<case> <json>"
+// line per relation; regenerate with TEMPUS_UPDATE_GOLDENS=1).
+TEST(IntervalStatsTest, AnalyzeMatchesGoldenOnEveryDistribution) {
+  std::vector<TemporalRelation> relations;
+  for (testing::Distribution d : testing::AllDistributions()) {
+    testing::WorkloadSpec spec;
+    spec.distribution = d;
+    spec.count = 200;
+    spec.seed = 5;
+    relations.push_back(testing::MakeWorkloadRelation(
+                            std::string(testing::DistributionName(d)), spec)
+                            .value());
+  }
+  const std::pair<const char*, DurationModel> models[] = {
+      {"uniform", DurationModel::kUniform},
+      {"exponential", DurationModel::kExponential},
+      {"pareto", DurationModel::kPareto}};
+  for (const auto& [name, model] : models) {
+    IntervalWorkloadConfig config;
+    config.count = 300;
+    config.seed = 9;
+    config.duration_model = model;
+    relations.push_back(GenerateIntervalRelation(name, config).value());
+  }
+  relations.push_back(GenerateNestedIntervals("nested", 20, 6, 3).value());
+
+  BufferManager pool(8);  // Outlives the engine's spilled entry.
+  Engine engine;
+  std::vector<std::string> names;
+  for (TemporalRelation& rel : relations) {
+    names.push_back(rel.name());
+    TEMPUS_ASSERT_OK(engine.mutable_catalog()->Register(std::move(rel)));
+  }
+  // A spilled relation is analyzed through the buffer pool.
+  TEMPUS_ASSERT_OK(engine.SpillRelation("pareto", 16, &pool));
+
+  std::string actual;
+  for (const std::string& name : names) {
+    Result<std::shared_ptr<const IntervalStats>> stats =
+        engine.AnalyzeRelation(name);
+    ASSERT_TRUE(stats.ok()) << name << ": " << stats.status().ToString();
+    actual += name + " " + (*stats)->ToJson() + "\n";
+  }
+  const std::string path =
+      std::string(TEMPUS_GOLDEN_DIR) + "/analyze_stats.txt";
+  if (std::getenv("TEMPUS_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.is_open()) << "cannot write golden " << path;
+    out << actual;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "missing golden " << path;
+  std::stringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "storage/paged_stream.h"
 
 #include "datagen/interval_gen.h"
+#include "exec/engine.h"
 #include "gtest/gtest.h"
 #include "testing/test_util.h"
 
@@ -188,7 +189,6 @@ TEST(PagedRelationDiskTest, SpillAndScanMatchesMemoryModeExactly) {
   EXPECT_TRUE(disk->disk_backed());
   EXPECT_EQ(disk->tuple_count(), rel.size());
   EXPECT_GT(disk->compression_ratio(), 1.0);
-  EXPECT_TRUE(disk->stats().has_value()) << "spill precomputes stats";
 
   PagedScanStream scan(&disk.value(), nullptr);
   const TemporalRelation out = MustMaterialize(&scan, "out");
@@ -202,6 +202,18 @@ TEST(PagedRelationDiskTest, SpillAndScanMatchesMemoryModeExactly) {
   }
   const OperatorMetrics& m = scan.metrics();
   EXPECT_GT(m.buffer_misses + m.buffer_hits, 0u);
+
+  // Spilled through the engine, the paged catalog entry inherits the
+  // stats computed when the in-memory relation was registered.
+  Engine engine;
+  TEMPUS_ASSERT_OK(engine.mutable_catalog()->Register(rel));
+  TEMPUS_ASSERT_OK(engine.SpillRelation("R", 8, &pool));
+  Result<Catalog::Entry> entry = engine.catalog().Find("R");
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  EXPECT_EQ(entry->relation, nullptr);
+  ASSERT_NE(entry->paged, nullptr);
+  ASSERT_TRUE(entry->stats.has_value()) << "spill carries the stats over";
+  EXPECT_EQ(*entry->stats, rel.ComputeStats().value());
 }
 
 TEST(PagedRelationDiskTest, TinyPoolScanEvictsAndStaysCorrect) {

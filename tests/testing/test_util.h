@@ -10,6 +10,7 @@
 #include "join/join_common.h"
 #include "join/nested_loop.h"
 #include "relation/temporal_relation.h"
+#include "stats/interval_stats.h"
 #include "stream/stream.h"
 
 #include "gtest/gtest.h"
@@ -46,6 +47,14 @@ inline TemporalRelation MakeIntervals(
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
   return rel;
+}
+
+/// `analyze`'s statistics for `rel`, built from the scalars its catalog
+/// registration computes.
+inline Result<IntervalStats> BuildStats(const TemporalRelation& rel,
+                                        size_t buckets = 32) {
+  TEMPUS_ASSIGN_OR_RETURN(RelationStats scalars, rel.ComputeStats());
+  return BuildIntervalStats(rel, scalars, buckets);
 }
 
 /// Lifespans of all tuples, in relation order.
