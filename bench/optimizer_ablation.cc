@@ -49,14 +49,16 @@ const Query kQueries[] = {
 };
 
 /// Sort orders the planner chose, read off the plan tree's enforcer
-/// labels ("Sort [ValidFrom^]" => "ValidFrom^").
+/// labels ("Sort [ValidFrom^]" or "IndexScan X [ValidFrom^] ..." =>
+/// "ValidFrom^").
 void CollectSortOrders(const TupleStream& node,
                        std::vector<std::string>* orders) {
   const std::string& label = node.label();
-  if (label.rfind("Sort [", 0) == 0) {
-    const size_t close = label.find(']', 6);
+  if (label.rfind("Sort [", 0) == 0 || label.rfind("IndexScan ", 0) == 0) {
+    const size_t open = label.find('[');
+    const size_t close = label.find(']', open);
     if (close != std::string::npos) {
-      orders->push_back(label.substr(6, close - 6));
+      orders->push_back(label.substr(open + 1, close - open - 1));
     }
   }
   for (const TupleStream* child : node.children()) {

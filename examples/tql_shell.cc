@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "datagen/faculty_gen.h"
 #include "datagen/interval_gen.h"
 #include "exec/engine.h"
@@ -41,6 +42,36 @@ const char* StatsTag(const tempus::Engine& engine, const std::string& name,
                      size_t tuple_count) {
   return tempus::StatsCatalog::FreshnessLabel(
       engine.stats().CheckFreshness(name, tuple_count));
+}
+
+// One \tables line: schema, size, storage, the endpoint index's bytes,
+// the orders a scan delivers without a Sort, and stats freshness.
+std::string TableLine(const tempus::Engine& engine, const std::string& name,
+                      const tempus::Catalog::Entry& entry) {
+  std::string orders;
+  for (const tempus::TemporalSortOrder& o : tempus::ProvidedOrders(entry)) {
+    orders += (orders.empty() ? "" : " ") + o.ToString();
+  }
+  if (orders.empty()) orders = "none";
+  const size_t tuples =
+      entry.relation != nullptr ? entry.relation->size() : entry.paged->size();
+  std::string storage;
+  if (entry.relation != nullptr) {
+    storage = tempus::StrFormat(
+        "index: %zu bytes",
+        entry.index != nullptr ? entry.index->bytes() : size_t{0});
+  } else {
+    storage = tempus::StrFormat("disk: %zu pages, %.2fx compressed",
+                                entry.paged->page_count(),
+                                entry.paged->compression_ratio());
+  }
+  const tempus::Schema& schema = entry.relation != nullptr
+                                     ? entry.relation->schema()
+                                     : entry.paged->schema();
+  return tempus::StrFormat("%s %s [%zu tuples, %s, orders: %s, stats: %s]",
+                           name.c_str(), schema.ToString().c_str(), tuples,
+                           storage.c_str(), orders.c_str(),
+                           StatsTag(engine, name, tuples));
 }
 
 // One histogram as an ASCII bar chart, buckets merged pairwise until at
@@ -233,24 +264,10 @@ int main(int argc, char** argv) {
     if (line == "\\quit" || line == "\\q") break;
     if (line == "\\tables") {
       for (const std::string& name : engine.catalog().Names()) {
-        tempus::Result<const tempus::TemporalRelation*> mem =
-            engine.catalog().Lookup(name);
-        if (mem.ok()) {
-          std::printf("  %s %s [%zu tuples, stats: %s]\n", name.c_str(),
-                      (*mem)->schema().ToString().c_str(), (*mem)->size(),
-                      StatsTag(engine, name, (*mem)->size()));
-          continue;
-        }
-        tempus::Result<std::shared_ptr<const tempus::PagedRelation>> paged =
-            engine.catalog().LookupPaged(name);
-        if (paged.ok()) {
-          std::printf("  %s %s [%zu tuples, disk: %zu pages, %.2fx "
-                      "compressed, stats: %s]\n",
-                      name.c_str(), (*paged)->schema().ToString().c_str(),
-                      (*paged)->size(), (*paged)->page_count(),
-                      (*paged)->compression_ratio(),
-                      StatsTag(engine, name, (*paged)->size()));
-        }
+        tempus::Result<tempus::Catalog::Entry> entry =
+            engine.catalog().Find(name);
+        if (!entry.ok()) continue;  // Dropped since Names().
+        std::printf("  %s\n", TableLine(engine, name, *entry).c_str());
       }
       std::printf("tql> ");
       std::fflush(stdout);

@@ -160,16 +160,20 @@ Result<std::shared_ptr<const IntervalStats>> Engine::AnalyzeRelation(
   }
   IntervalStats stats;
   if (entry.relation != nullptr) {
-    TEMPUS_ASSIGN_OR_RETURN(stats,
-                            BuildIntervalStats(*entry.relation, *entry.stats));
+    TEMPUS_ASSIGN_OR_RETURN(
+        stats, BuildIntervalStats(*entry.relation, *entry.stats, *entry.index));
   } else {
     // Disk-backed relation: materialize through the buffer pool (analyze
-    // is a full scan by definition; the pool bounds residency).
+    // is a full scan by definition; the pool bounds residency) and index
+    // the copy, whose rows are in the page file's order.
     PagedScanStream scan(entry.paged, nullptr);
     TEMPUS_ASSIGN_OR_RETURN(TemporalRelation materialized,
                             Materialize(&scan, name));
+    TEMPUS_ASSIGN_OR_RETURN(IndexedStats indexed,
+                            IndexEndpoints(materialized));
     TEMPUS_ASSIGN_OR_RETURN(stats,
-                            BuildIntervalStats(materialized, *entry.stats));
+                            BuildIntervalStats(materialized, *entry.stats,
+                                               indexed.index));
   }
   stats_.Put(name, std::move(stats));
   return stats_.Lookup(name);
@@ -189,7 +193,8 @@ Status Engine::SpillRelation(const std::string& name, size_t tuples_per_page,
   }
   TEMPUS_ASSIGN_OR_RETURN(
       PagedRelation paged,
-      PagedRelation::SpillToDisk(*entry.relation, tuples_per_page, pool));
+      PagedRelation::SpillToDisk(*entry.relation, tuples_per_page, pool,
+                                 nullptr, entry.index.get()));
   catalog_.RegisterOrReplacePaged(
       name, std::make_shared<const PagedRelation>(std::move(paged)),
       std::move(entry.stats));

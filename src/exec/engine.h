@@ -119,9 +119,10 @@ class Engine {
   Status DropRelation(const std::string& name);
 
   /// Spills the in-memory relation `name` to a compressed on-disk page
-  /// file and atomically re-registers it as disk-backed, keeping the stats
-  /// its catalog entry got at registration: subsequent queries scan it
-  /// through the buffer pool (docs/STORAGE.md). Running snapshot-based
+  /// file, written in the ValidFrom^ order of its endpoint index and
+  /// declaring that order, and atomically re-registers it as disk-backed,
+  /// keeping the stats its catalog entry got at registration: subsequent
+  /// queries scan it through the buffer pool (docs/STORAGE.md). Running snapshot-based
   /// queries keep the in-memory copy alive until they finish. `pool`
   /// defaults to BufferManager::Global().
   Status SpillRelation(const std::string& name, size_t tuples_per_page = 1024,

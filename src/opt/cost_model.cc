@@ -186,9 +186,11 @@ double EstimateContainPairs(const IntervalStats& x, const IntervalStats& y) {
     fit = y.durations.FractionBelow(
         static_cast<TimePoint>(std::llround(x.mean_duration)));
   } else {
-    fit = x.mean_duration <= 0.0
-              ? 0.0
-              : std::max(0.0, 1.0 - y.mean_duration / x.mean_duration);
+    // Means only: take both durations as exponential, so the chance a Y
+    // duration is shorter than an X duration is mean_x / (mean_x + mean_y)
+    // (1/2 for a self-join, never 0 for two non-empty inputs).
+    const double both = x.mean_duration + y.mean_duration;
+    fit = both <= 0.0 ? 0.0 : x.mean_duration / both;
   }
   return std::min(static_cast<double>(x.tuple_count) * arrivals * fit,
                   Cross(x, y));

@@ -40,19 +40,21 @@ IntervalStats Optimizer::StatsFor(const std::string& name,
 
 OrderChoice Optimizer::ChooseContainJoinOrder(
     const IntervalStats& x, const IntervalStats& y,
-    const std::optional<TemporalSortOrder>& right_known) const {
+    const std::vector<TemporalSortOrder>& right_free) const {
   const WorkspaceEstimate from_from = EstimateContainJoinFromFrom(x, y);
   const WorkspaceEstimate from_to = EstimateContainJoinFromTo(x, y);
-  const bool from_free =
-      right_known.has_value() && *right_known == kByValidFromAsc;
-  const bool to_free =
-      right_known.has_value() && *right_known == kByValidToAsc;
+  auto is_free = [&right_free](TemporalSortOrder order) {
+    return std::find(right_free.begin(), right_free.end(), order) !=
+           right_free.end();
+  };
+  const bool from_free = is_free(kByValidFromAsc);
+  const bool to_free = is_free(kByValidToAsc);
 
   OrderChoice choice;
   if (!cost_based()) {
-    // The original heuristic: reuse a free interesting order outright,
-    // else compare workspace alone.
-    if (from_free || to_free) {
+    // The original heuristic: reuse the one free interesting order
+    // outright, else compare workspace alone.
+    if (from_free != to_free) {
       choice.right_order = to_free ? kByValidToAsc : kByValidFromAsc;
       choice.reused_order = true;
       choice.workspace = to_free ? from_to.tuples : from_from.tuples;
@@ -68,8 +70,8 @@ OrderChoice Optimizer::ChooseContainJoinOrder(
   }
 
   // Cost-based: total cost = workspace + the enforcer-sort cost the
-  // alternative induces (zero when the right input already carries that
-  // interesting order).
+  // alternative induces (zero when the right input delivers that
+  // interesting order without a Sort).
   const double n_y = static_cast<double>(y.tuple_count);
   const double sort_from = from_free ? 0.0 : EstimateSortCost(n_y);
   const double sort_to = to_free ? 0.0 : EstimateSortCost(n_y);

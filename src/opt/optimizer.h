@@ -64,13 +64,15 @@ class Optimizer {
                          const RelationStats& registered) const;
 
   /// Chooses the contain-join right order by total cost: workspace of the
-  /// Table 1 (a)/(b) alternative plus the enforcer-sort cost it induces
-  /// given the right input's existing order (`right_known`). In heuristic
-  /// mode this reproduces the original rule: reuse a free interesting
-  /// order, else compare workspace alone.
+  /// Table 1 (a)/(b) alternative plus the enforcer-sort cost it induces,
+  /// zero for the orders in `right_free` (those the right input delivers
+  /// without a Sort: its existing order, or any order an index scan of a
+  /// stored relation provides). In heuristic mode this reproduces the
+  /// original rule: reuse the one free interesting order, else compare
+  /// workspace alone.
   OrderChoice ChooseContainJoinOrder(
       const IntervalStats& x, const IntervalStats& y,
-      const std::optional<TemporalSortOrder>& right_known) const;
+      const std::vector<TemporalSortOrder>& right_free) const;
 
   /// Left-deep join-order enumeration for the generic cascade: exact DP
   /// over variable subsets (Selinger-style, minimizing the sum of

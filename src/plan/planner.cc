@@ -26,6 +26,7 @@
 #include "storage/paged_stream.h"
 #include "stream/basic_ops.h"
 #include "stream/batch.h"
+#include "stream/index_scan.h"
 #include "stream/kernel.h"
 
 namespace tempus {
@@ -98,6 +99,8 @@ struct Deferred {
   std::string display;
 };
 
+struct BoundRel;
+
 /// A partially built pipeline covering a set of range variables.
 struct SubPlan {
   std::unique_ptr<TupleStream> stream;
@@ -112,6 +115,14 @@ struct SubPlan {
   /// Running estimate for the current root operator (invalid when no
   /// statistics were available for some input).
   NodeEstimate est;
+  /// Set by BuildScan/BuildBase: the stored relation scanned, the range
+  /// variable whose selections were pushed (if any), and the root stream
+  /// they returned. While `stream` is still that root, the plan is the
+  /// scan under at most pushed selections, which keep its order, so
+  /// EnsureOrder re-plans it as an ordered scan instead of sorting it.
+  const BoundRel* scan_of = nullptr;
+  std::optional<size_t> scan_var;
+  const TupleStream* scan_root = nullptr;
 };
 
 std::string Indent(const std::string& block) {
@@ -125,6 +136,25 @@ std::string Indent(const std::string& block) {
   }
   if (!out.empty() && out.back() == '\n') out.pop_back();
   return out;
+}
+
+/// The order a catalog entry's relation declares for its storage order.
+const std::optional<SortSpec>& DeclaredOrder(const Catalog::Entry& entry) {
+  return entry.relation != nullptr ? entry.relation->known_order()
+                                   : entry.paged->known_order();
+}
+
+/// The canonical temporal order `entry`'s storage order satisfies, if any.
+std::optional<TemporalSortOrder> StorageOrder(const Catalog::Entry& entry) {
+  const std::optional<SortSpec>& declared = DeclaredOrder(entry);
+  const Schema& schema = entry.relation != nullptr ? entry.relation->schema()
+                                                   : entry.paged->schema();
+  if (!declared.has_value() || !schema.has_lifespan()) return std::nullopt;
+  for (const TemporalSortOrder& o : AllTemporalSortOrders()) {
+    Result<SortSpec> spec = o.ToSortSpec(schema);
+    if (spec.ok() && spec.value().SatisfiedBy(*declared)) return o;
+  }
+  return std::nullopt;
 }
 
 /// A range variable's resolved catalog entry — exactly one of the two
@@ -143,8 +173,7 @@ struct BoundRel : Catalog::Entry {
     return relation != nullptr ? relation->size() : paged->size();
   }
   const std::optional<SortSpec>& known_order() const {
-    return relation != nullptr ? relation->known_order()
-                               : paged->known_order();
+    return DeclaredOrder(*this);
   }
   /// True when two range variables scan the same stored relation (the
   /// self-join detection pointer compare, generalized to both kinds).
@@ -185,16 +214,33 @@ class PlanBuilder {
   Result<size_t> AttrIndex(size_t var, const std::string& attr) const;
   bool IsEndpoint(size_t var, size_t attr_ix) const;
   EndpointKind EndpointOf(size_t var, size_t attr_ix) const;
+  /// The temporal predicate an endpoint selection on `var` states for the
+  /// constraint system, if `sel` is one (an integer literal compared by
+  /// anything but !=).
+  std::optional<TemporalPredicate> EndpointSelectionPredicate(
+      size_t var, const Selection& sel) const;
 
   // --- phases --------------------------------------------------------------
   Status Resolve();
   Status Classify();
   Status Analyze();
-  /// A scan of `rel` with its known order and row estimate.
-  Result<SubPlan> BuildScan(const BoundRel& rel) const;
-  /// `var`'s scan plus its pushed selections.
-  Result<SubPlan> BuildBase(size_t var) const;
-  Result<SubPlan> EnsureOrder(SubPlan plan, TemporalSortOrder order) const;
+  /// A scan of `rel` with its row estimate: in storage order (and the
+  /// canonical order that satisfies, if any) unless `order` asks for one
+  /// of the ProvidedOrders, which an IndexScanStream makes.
+  Result<SubPlan> BuildScan(
+      const BoundRel& rel,
+      std::optional<TemporalSortOrder> order = std::nullopt) const;
+  /// `var`'s scan plus its pushed selections; marks the pending essential
+  /// predicates those selections evaluate as applied.
+  Result<SubPlan> BuildBase(
+      size_t var, std::optional<TemporalSortOrder> order = std::nullopt);
+  /// True when `plan` can deliver `order` without a Sort: it already has
+  /// it, or it is still what BuildScan/BuildBase returned and its
+  /// relation provides the order.
+  bool OrderIsFree(const SubPlan& plan, TemporalSortOrder order) const;
+  /// `plan` in `order`: unchanged when it has it, re-planned as an ordered
+  /// scan when that order is free, else under a SortStream.
+  Result<SubPlan> EnsureOrder(SubPlan plan, TemporalSortOrder order);
   Result<SubPlan> PlanTwoVarStream(SubPlan left, SubPlan right, size_t lv,
                                    size_t rv);
   Result<std::optional<SubPlan>> TrySuperstar();
@@ -372,6 +418,32 @@ EndpointKind PlanBuilder::EndpointOf(size_t var, size_t attr_ix) const {
              : EndpointKind::kEnd;
 }
 
+std::optional<TemporalPredicate> PlanBuilder::EndpointSelectionPredicate(
+    size_t var, const Selection& sel) const {
+  if (!IsEndpoint(var, sel.attr_index) ||
+      sel.literal.kind() != Value::Kind::kInt) {
+    return std::nullopt;
+  }
+  const TemporalTerm ep =
+      TemporalTerm::Endpoint(var, EndpointOf(var, sel.attr_index));
+  const TemporalTerm l = TemporalTerm::Literal(sel.literal.int_value());
+  switch (sel.op) {
+    case CmpOp::kLt:
+      return TemporalPredicate{ep, PredOp::kLess, l};
+    case CmpOp::kLe:
+      return TemporalPredicate{ep, PredOp::kLessEqual, l};
+    case CmpOp::kGt:
+      return TemporalPredicate{l, PredOp::kLess, ep};
+    case CmpOp::kGe:
+      return TemporalPredicate{l, PredOp::kLessEqual, ep};
+    case CmpOp::kEq:
+      return TemporalPredicate{ep, PredOp::kEqual, l};
+    case CmpOp::kNe:
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
 Status PlanBuilder::Resolve() {
   if (query_.range_vars.empty()) {
     return Status::InvalidArgument("query declares no range variables");
@@ -420,30 +492,9 @@ Status PlanBuilder::Classify() {
       TEMPUS_ASSIGN_OR_RETURN(size_t attr, AttrIndex(var,
                                                      col.column.attribute));
       selections_[var].push_back({attr, op, lit.literal, cmp.ToString()});
-      if (IsEndpoint(var, attr) &&
-          lit.literal.kind() == Value::Kind::kInt && op != CmpOp::kNe) {
-        const TemporalTerm ep =
-            TemporalTerm::Endpoint(var, EndpointOf(var, attr));
-        const TemporalTerm l = TemporalTerm::Literal(lit.literal.int_value());
-        switch (op) {
-          case CmpOp::kLt:
-            analyzed_preds_.push_back({ep, PredOp::kLess, l});
-            break;
-          case CmpOp::kLe:
-            analyzed_preds_.push_back({ep, PredOp::kLessEqual, l});
-            break;
-          case CmpOp::kGt:
-            analyzed_preds_.push_back({l, PredOp::kLess, ep});
-            break;
-          case CmpOp::kGe:
-            analyzed_preds_.push_back({l, PredOp::kLessEqual, ep});
-            break;
-          case CmpOp::kEq:
-            analyzed_preds_.push_back({ep, PredOp::kEqual, l});
-            break;
-          default:
-            break;
-        }
+      if (std::optional<TemporalPredicate> pred =
+              EndpointSelectionPredicate(var, selections_[var].back())) {
+        analyzed_preds_.push_back(*pred);
       }
       continue;
     }
@@ -579,10 +630,24 @@ Status PlanBuilder::Analyze() {
   return Status::Ok();
 }
 
-Result<SubPlan> PlanBuilder::BuildScan(const BoundRel& rel) const {
+Result<SubPlan> PlanBuilder::BuildScan(
+    const BoundRel& rel, std::optional<TemporalSortOrder> order) const {
   SubPlan plan;
+  plan.order = StorageOrder(rel);
   std::unique_ptr<TupleStream> stream;
-  if (rel.relation != nullptr) {
+  if (order.has_value() && order != plan.order) {
+    // The only scan that makes an order is the index scan (ProvidedOrders).
+    if (rel.relation == nullptr || rel.index == nullptr) {
+      return Status::Internal("no ordered scan of " + rel.name() + " in " +
+                              order->ToString());
+    }
+    stream = std::make_unique<IndexScanStream>(rel.relation, rel.index,
+                                               order->field,
+                                               order->direction);
+    plan.explain = "IndexScan " + rel.name() + " [" + order->ToString() +
+                   "]" + StrFormat(" [%zu tuples]", rel.size());
+    plan.order = order;
+  } else if (rel.relation != nullptr) {
     stream = VectorStream::Scan(*rel.relation);
     plan.explain =
         "Scan " + rel.name() + StrFormat(" [%zu tuples]", rel.size());
@@ -596,28 +661,20 @@ Result<SubPlan> PlanBuilder::BuildScan(const BoundRel& rel) const {
                   rel.paged->page_count(), rel.paged->compression_ratio());
   }
   stream->set_label(plan.explain);
-  // Known base order (if it matches one of the four canonical temporal
-  // orders).
-  if (rel.known_order().has_value() && rel.schema().has_lifespan()) {
-    for (const TemporalSortOrder& o : AllTemporalSortOrders()) {
-      Result<SortSpec> spec = o.ToSortSpec(rel.schema());
-      if (spec.ok() && spec.value().SatisfiedBy(*rel.known_order())) {
-        plan.order = o;
-        break;
-      }
-    }
-  }
   plan.stream = std::move(stream);
   if (rel.stats.has_value()) {
     SetEst(&plan, static_cast<double>(rel.size()), 0.0);
   }
   StampLabel(&plan);
+  plan.scan_of = &rel;
+  plan.scan_root = plan.stream.get();
   return plan;
 }
 
-Result<SubPlan> PlanBuilder::BuildBase(size_t var) const {
+Result<SubPlan> PlanBuilder::BuildBase(
+    size_t var, std::optional<TemporalSortOrder> order) {
   const BoundRel& rel = relations_[var];
-  TEMPUS_ASSIGN_OR_RETURN(SubPlan plan, BuildScan(rel));
+  TEMPUS_ASSIGN_OR_RETURN(SubPlan plan, BuildScan(rel, order));
   plan.var_offsets[var] = 0;
   const std::optional<IntervalStats> stats = StatsOf(rel);
   if (!selections_[var].empty()) {
@@ -644,6 +701,14 @@ Result<SubPlan> PlanBuilder::BuildBase(size_t var) const {
                                            s.literal.time_value())
                    : KernelAtom::ValueConst(s.attr_index, ToKernelCmp(s.op),
                                             s.literal));
+      // An endpoint selection is also a pending essential predicate
+      // (Classify); the Select evaluates it, so no Filter above may again.
+      if (std::optional<TemporalPredicate> pred =
+              EndpointSelectionPredicate(var, s)) {
+        for (size_t i = 0; i < pending_essential_.size(); ++i) {
+          if (pending_essential_[i] == *pred) essential_applied_[i] = true;
+        }
+      }
     }
     compiled.kernel = PredicateKernel(std::move(atoms));
     const bool vectorized = compiled.vectorized;
@@ -659,13 +724,34 @@ Result<SubPlan> PlanBuilder::BuildBase(size_t var) const {
     }
   }
   StampLabel(&plan);
+  plan.scan_var = var;
+  plan.scan_root = plan.stream.get();
   return plan;
 }
 
+bool PlanBuilder::OrderIsFree(const SubPlan& plan,
+                              TemporalSortOrder order) const {
+  if (plan.order == order) return true;
+  // Only a plan still rooted where BuildScan/BuildBase left it is a scan.
+  if (plan.scan_of == nullptr || plan.stream.get() != plan.scan_root) {
+    return false;
+  }
+  const std::vector<TemporalSortOrder> provided =
+      ProvidedOrders(*plan.scan_of);
+  return std::find(provided.begin(), provided.end(), order) !=
+         provided.end();
+}
+
 Result<SubPlan> PlanBuilder::EnsureOrder(SubPlan plan,
-                                         TemporalSortOrder order) const {
+                                         TemporalSortOrder order) {
   StampLabel(&plan);
   if (plan.order.has_value() && *plan.order == order) return plan;
+  if (OrderIsFree(plan, order)) {
+    // A stored relation's scan (under its pushed selections) that can be
+    // read in this order: re-plan it as that ordered scan, no Sort.
+    return plan.scan_var.has_value() ? BuildBase(*plan.scan_var, order)
+                                     : BuildScan(*plan.scan_of, order);
+  }
   TEMPUS_ASSIGN_OR_RETURN(SortSpec spec,
                           order.ToSortSpec(plan.stream->schema()));
   plan.stream = std::make_unique<SortStream>(std::move(plan.stream), spec);
@@ -1202,21 +1288,21 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
       // The two appropriate right-side orderings (Table 1 (a) vs (b))
       // retain different state; the optimizer prices workspace plus the
       // enforcer-sort cost each alternative induces (Section 6's
-      // "estimating the amount of local workspace"). In heuristic mode
-      // this reproduces the original rule: reuse a free interesting
+      // "estimating the amount of local workspace"), zero for an order
+      // the right input delivers without a Sort. In heuristic mode this
+      // reproduces the original rule: reuse the one free interesting
       // order, else compare workspace alone.
-      std::optional<TemporalSortOrder> right_known;
-      if (right.order.has_value() &&
-          (*right.order == kByValidFromAsc ||
-           *right.order == kByValidToAsc)) {
-        right_known = *right.order;
+      std::vector<TemporalSortOrder> right_free;
+      for (const TemporalSortOrder& o : {kByValidFromAsc, kByValidToAsc}) {
+        if (OrderIsFree(right, o)) right_free.push_back(o);
       }
-      TemporalSortOrder right_order = right_known.value_or(kByValidFromAsc);
+      TemporalSortOrder right_order =
+          right_free.size() == 1 ? right_free.front() : kByValidFromAsc;
       double chosen_ws = 0.0;
       bool have_ws = false;
       if (lstats.has_value() && rstats.has_value()) {
         const OrderChoice choice =
-            optimizer_.ChooseContainJoinOrder(*lstats, *rstats, right_known);
+            optimizer_.ChooseContainJoinOrder(*lstats, *rstats, right_free);
         right_order = choice.right_order;
         chosen_ws = choice.workspace;
         have_ws = true;
@@ -2055,6 +2141,17 @@ Result<PlannedQuery> PlanBuilder::Build() {
 }
 
 }  // namespace
+
+std::vector<TemporalSortOrder> ProvidedOrders(const Catalog::Entry& entry) {
+  if (entry.relation != nullptr && entry.index != nullptr) {
+    return AllTemporalSortOrders();
+  }
+  std::vector<TemporalSortOrder> orders;
+  if (std::optional<TemporalSortOrder> stored = StorageOrder(entry)) {
+    orders.push_back(*stored);
+  }
+  return orders;
+}
 
 Result<TemporalRelation> PlannedQuery::Execute() {
   if (batch_size > 0) {

@@ -66,6 +66,14 @@ struct PlannerOptions {
   std::optional<OptimizerMode> optimizer;
 };
 
+/// The canonical temporal orders a scan of `entry` delivers without a
+/// Sort: all four for an in-memory relation with an endpoint index (its
+/// IndexScanStream, stream/index_scan.h), else the one its storage order
+/// satisfies, if any (a spilled relation declares ValidFrom^). This is the
+/// planner's one order-metadata path; `\tables` and the server's stats
+/// endpoint report it too.
+std::vector<TemporalSortOrder> ProvidedOrders(const Catalog::Entry& entry);
+
 /// An executable plan: a stream-processor network plus diagnostics.
 struct PlannedQuery {
   std::unique_ptr<TupleStream> root;

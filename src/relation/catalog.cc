@@ -10,8 +10,12 @@ namespace {
 
 Catalog::Entry InMemoryEntry(TemporalRelation relation) {
   Catalog::Entry entry;
-  Result<RelationStats> stats = relation.ComputeStats();
-  if (stats.ok()) entry.stats = std::move(stats).value();
+  Result<IndexedStats> indexed = IndexEndpoints(relation);
+  if (indexed.ok()) {
+    entry.stats = indexed->stats;
+    entry.index =
+        std::make_shared<const EndpointIndex>(std::move(indexed->index));
+  }
   entry.relation =
       std::make_shared<const TemporalRelation>(std::move(relation));
   return entry;

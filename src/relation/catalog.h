@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "relation/endpoint_index.h"
 #include "relation/temporal_relation.h"
 
 namespace tempus {
@@ -22,9 +23,11 @@ class PagedRelation;
 /// The catalog layer never dereferences PagedRelation (it is forward-
 /// declared here), so the relation library stays independent of storage.
 ///
-/// Each entry carries its relation's RelationStats, computed once when the
-/// relation is registered: the relation is immutable while registered, so
-/// the planner reads the stats instead of recomputing them per query.
+/// Each in-memory temporal entry carries its relation's EndpointIndex and
+/// RelationStats, built in one pass when the relation is registered (the
+/// stats are read off the index): the relation is immutable while
+/// registered, so the planner reads both instead of sorting or recomputing
+/// per query.
 ///
 /// Concurrency: entries hold shared handles to immutable objects, and
 /// every member takes a reader/writer lock, so Register /
@@ -38,22 +41,25 @@ class PagedRelation;
 class Catalog {
  public:
   /// One registered relation: exactly one of `relation` and `paged` is
-  /// set. `stats` is nullopt when the schema has no lifespan.
+  /// set. `stats` is nullopt when the schema has no lifespan. `index` is
+  /// set for an in-memory relation with a lifespan; a paged relation
+  /// instead stores its rows in the order it declares.
   struct Entry {
     std::shared_ptr<const TemporalRelation> relation;
     std::shared_ptr<const PagedRelation> paged;
     std::optional<RelationStats> stats;
+    std::shared_ptr<const EndpointIndex> index;
   };
 
   Catalog() = default;
   Catalog(Catalog&&) = default;
   Catalog& operator=(Catalog&&) = default;
 
-  /// Registers `relation` under its name; fails on duplicates. Computes
-  /// the relation's stats before taking the write lock.
+  /// Registers `relation` under its name; fails on duplicates. Builds the
+  /// relation's index and stats before taking the write lock.
   Status Register(TemporalRelation relation);
 
-  /// Registers or replaces (with freshly computed stats).
+  /// Registers or replaces (with a freshly built index and stats).
   void RegisterOrReplace(TemporalRelation relation);
 
   /// Removes the relation; NotFound if absent. Snapshots taken earlier
@@ -86,7 +92,8 @@ class Catalog {
   size_t size() const;
 
   /// An isolated, immutable copy sharing the relation storage (cheap:
-  /// two shared handles and the stats per relation). Queries planned
+  /// three shared handles and the stats per relation; the index is shared,
+  /// not copied). Queries planned
   /// against the snapshot see exactly the relations registered at
   /// snapshot time.
   Catalog Snapshot() const;

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/string_util.h"
+#include "relation/endpoint_index.h"
 
 namespace tempus {
 
@@ -76,57 +77,8 @@ Interval TemporalRelation::LifespanOf(size_t i) const {
 }
 
 Result<RelationStats> TemporalRelation::ComputeStats() const {
-  if (!schema_.has_lifespan()) {
-    return Status::FailedPrecondition(
-        "stats require a temporal schema: " + schema_.ToString());
-  }
-  RelationStats stats;
-  stats.tuple_count = tuples_.size();
-  if (tuples_.empty()) return stats;
-
-  double duration_sum = 0.0;
-  std::vector<TimePoint> starts;
-  starts.reserve(tuples_.size());
-  // Event sweep for max concurrency: +1 at start, -1 at end.
-  std::vector<std::pair<TimePoint, int>> events;
-  events.reserve(tuples_.size() * 2);
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    const Interval span = LifespanOf(i);
-    stats.min_valid_from = std::min(stats.min_valid_from, span.start);
-    stats.max_valid_to = std::max(stats.max_valid_to, span.end);
-    duration_sum += static_cast<double>(span.Duration());
-    stats.max_duration = std::max(stats.max_duration, span.Duration());
-    starts.push_back(span.start);
-    events.emplace_back(span.start, +1);
-    events.emplace_back(span.end, -1);
-  }
-  stats.mean_duration = duration_sum / static_cast<double>(tuples_.size());
-
-  std::sort(starts.begin(), starts.end());
-  if (starts.size() > 1) {
-    stats.mean_interarrival =
-        static_cast<double>(starts.back() - starts.front()) /
-        static_cast<double>(starts.size() - 1);
-  }
-
-  // Ends sort before starts at the same time point: [a,t) and [t,b) do not
-  // overlap under half-open semantics.
-  std::sort(events.begin(), events.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first < b.first
-                                        : a.second < b.second;
-            });
-  size_t current = 0;
-  for (const auto& [time, delta] : events) {
-    (void)time;
-    if (delta > 0) {
-      ++current;
-      stats.max_concurrency = std::max(stats.max_concurrency, current);
-    } else {
-      --current;
-    }
-  }
-  return stats;
+  TEMPUS_ASSIGN_OR_RETURN(IndexedStats indexed, IndexEndpoints(*this));
+  return indexed.stats;
 }
 
 bool TemporalRelation::EqualsIgnoringOrder(

@@ -77,7 +77,9 @@ class TemporalRelation {
   /// Lifespan of tuple i; schema must be temporal.
   Interval LifespanOf(size_t i) const;
 
-  /// Computes instance statistics in O(n log n).
+  /// Computes instance statistics: the catalog's registration pass
+  /// (IndexEndpoints, relation/endpoint_index.h) without keeping the
+  /// index. Linear in the row count.
   Result<RelationStats> ComputeStats() const;
 
   /// Multiset equality with another relation (order-insensitive); used by

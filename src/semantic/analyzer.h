@@ -32,6 +32,8 @@ struct TemporalTerm {
     t.literal = value;
     return t;
   }
+
+  friend bool operator==(const TemporalTerm&, const TemporalTerm&) = default;
 };
 
 enum class PredOp { kLess, kLessEqual, kEqual };
@@ -44,6 +46,9 @@ struct TemporalPredicate {
   TemporalTerm rhs;
 
   std::string ToString(const std::vector<std::string>& var_names) const;
+
+  friend bool operator==(const TemporalPredicate&,
+                         const TemporalPredicate&) = default;
 };
 
 /// What the analyzer needs to know about a query range variable.

@@ -15,6 +15,7 @@
 #include "common/string_util.h"
 #include "obs/metrics_json.h"
 #include "relation/csv.h"
+#include "storage/paged_relation.h"
 
 namespace tempus {
 
@@ -405,6 +406,28 @@ std::string TqlServer::StatsJson() const {
     out += ",\"totals\":" + MetricsToJson(totals_);
   }
   out += ",\"buffer\":" + BufferManager::Global().Stats().ToJson();
+  out += ",\"relations\":[";
+  const Catalog& catalog = engine_->catalog();
+  bool first_relation = true;
+  for (const std::string& name : catalog.Names()) {
+    Result<Catalog::Entry> entry = catalog.Find(name);
+    if (!entry.ok()) continue;  // Dropped since Names().
+    std::string orders;
+    for (const TemporalSortOrder& o : ProvidedOrders(*entry)) {
+      orders += (orders.empty() ? "\"" : ",\"") + o.ToString() + "\"";
+    }
+    out += StrFormat(
+        "%s{\"name\":\"%s\",\"storage\":\"%s\",\"tuples\":%zu,"
+        "\"index_bytes\":%zu,\"orders\":[%s]}",
+        first_relation ? "" : ",", JsonEscape(name).c_str(),
+        entry->relation != nullptr ? "memory" : "disk",
+        entry->relation != nullptr ? entry->relation->size()
+                                   : entry->paged->size(),
+        entry->index != nullptr ? entry->index->bytes() : size_t{0},
+        orders.c_str());
+    first_relation = false;
+  }
+  out += "]";
   out += ",\"sessions\":[";
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);

@@ -110,8 +110,10 @@ class TqlServer {
   size_t active_queries() const { return admission_.active(); }
 
   /// The stats endpoint's JSON: server counters, the server-wide
-  /// MetricsToJson rollup of every finished query, and one entry per
-  /// live session with its own rollup.
+  /// MetricsToJson rollup of every finished query, one entry per
+  /// registered relation (storage, tuples, endpoint-index bytes and the
+  /// orders a scan delivers without a Sort), and one entry per live
+  /// session with its own rollup.
   std::string StatsJson() const;
 
  private:

@@ -310,6 +310,32 @@ Result<Histogram> ReadHistogram(const JsonValue& parent,
   return h;
 }
 
+/// The equi-depth histogram of `values`, which must be sorted ascending.
+Histogram EquiDepthFromSorted(const std::vector<TimePoint>& values,
+                              size_t buckets) {
+  Histogram h;
+  if (values.empty() || buckets == 0) return h;
+  const size_t n = values.size();
+  h.total = n;
+  h.bounds.push_back(values.front());
+  size_t start = 0;
+  for (size_t k = 1; k <= buckets && start < n; ++k) {
+    size_t end = k == buckets ? n : (n * k) / buckets;
+    if (end <= start) continue;
+    // Keep every copy of the bucket's last value inside it, so bucket
+    // bounds never repeat and depth stays honest under duplicates.
+    while (end < n && values[end] == values[end - 1]) ++end;
+    h.counts.push_back(end - start);
+    // Upper bound one past the bucket's max value (not the next bucket's
+    // min): interpolation then never smears a duplicate-heavy bucket
+    // across the gap to the next distinct value.
+    h.bounds.push_back(values[end - 1] == kMaxTime ? kMaxTime
+                                                   : values[end - 1] + 1);
+    start = end;
+  }
+  return h;
+}
+
 }  // namespace
 
 double Histogram::FractionBelow(TimePoint t) const {
@@ -341,28 +367,8 @@ double Histogram::FractionBetween(TimePoint lo, TimePoint hi) const {
 
 Histogram BuildEquiDepthHistogram(std::vector<TimePoint> values,
                                   size_t buckets) {
-  Histogram h;
-  if (values.empty() || buckets == 0) return h;
   std::sort(values.begin(), values.end());
-  const size_t n = values.size();
-  h.total = n;
-  h.bounds.push_back(values.front());
-  size_t start = 0;
-  for (size_t k = 1; k <= buckets && start < n; ++k) {
-    size_t end = k == buckets ? n : (n * k) / buckets;
-    if (end <= start) continue;
-    // Keep every copy of the bucket's last value inside it, so bucket
-    // bounds never repeat and depth stays honest under duplicates.
-    while (end < n && values[end] == values[end - 1]) ++end;
-    h.counts.push_back(end - start);
-    // Upper bound one past the bucket's max value (not the next bucket's
-    // min): interpolation then never smears a duplicate-heavy bucket
-    // across the gap to the next distinct value.
-    h.bounds.push_back(values[end - 1] == kMaxTime ? kMaxTime
-                                                   : values[end - 1] + 1);
-    start = end;
-  }
-  return h;
+  return EquiDepthFromSorted(values, buckets);
 }
 
 uint64_t ConcurrencyProfile::LiveAt(TimePoint t) const {
@@ -462,6 +468,7 @@ IntervalStats CoarseStats(const RelationStats& scalars) {
 
 Result<IntervalStats> BuildIntervalStats(const TemporalRelation& relation,
                                          const RelationStats& scalars,
+                                         const EndpointIndex& index,
                                          size_t buckets) {
   TEMPUS_FAULT_POINT("stats.build");
   if (!relation.schema().has_lifespan()) {
@@ -473,37 +480,40 @@ Result<IntervalStats> BuildIntervalStats(const TemporalRelation& relation,
   const size_t n = relation.size();
   if (n == 0) return stats;
 
-  std::vector<TimePoint> starts, ends, durations;
-  starts.reserve(n);
-  ends.reserve(n);
-  durations.reserve(n);
-  // Sweep events: +1 at ValidFrom, -1 at ValidTo; ends sort before starts
-  // at equal times (half-open lifespans).
-  std::vector<std::pair<TimePoint, int>> events;
-  events.reserve(2 * n);
-  for (size_t i = 0; i < n; ++i) {
-    const Interval life = relation.LifespanOf(i);
-    starts.push_back(life.start);
-    ends.push_back(life.end);
-    durations.push_back(life.Duration());
-    events.emplace_back(life.start, +1);
-    events.emplace_back(life.end, -1);
+  // The index orders both endpoint columns; only the durations still need
+  // a sort of their own.
+  const EndpointColumns columns = EndpointColumns::Of(relation);
+  std::vector<TimePoint> starts(n), ends(n), durations(n);
+  for (size_t k = 0; k < n; ++k) {
+    starts[k] = columns.starts[index.by_start()[k]];
+    ends[k] = columns.ends[index.by_end()[k]];
+    durations[k] = columns.ends[k] - columns.starts[k];
   }
-  stats.starts = BuildEquiDepthHistogram(std::move(starts), buckets);
-  stats.ends = BuildEquiDepthHistogram(std::move(ends), buckets);
+  stats.starts = EquiDepthFromSorted(starts, buckets);
+  stats.ends = EquiDepthFromSorted(ends, buckets);
   stats.durations = BuildEquiDepthHistogram(std::move(durations), buckets);
 
-  std::sort(events.begin(), events.end());
+  // Sweep the merged endpoints: +1 at each ValidFrom, -1 at each ValidTo,
+  // one change point per distinct time.
   std::vector<TimePoint> change_at;
   std::vector<uint64_t> change_live;
   int64_t live = 0;
   uint64_t max_live = 0;
   double weighted = 0.0;
-  for (size_t i = 0; i < events.size();) {
-    const TimePoint t = events[i].first;
-    while (i < events.size() && events[i].first == t) {
-      live += events[i].second;
-      ++i;
+  size_t next_start = 0;
+  size_t next_end = 0;
+  while (next_end < n) {
+    // A start still ahead has its own end ahead too, so next_end < n.
+    const TimePoint t = next_start < n
+                            ? std::min(starts[next_start], ends[next_end])
+                            : ends[next_end];
+    while (next_end < n && ends[next_end] == t) {
+      --live;
+      ++next_end;
+    }
+    while (next_start < n && starts[next_start] == t) {
+      ++live;
+      ++next_start;
     }
     if (!change_at.empty()) {
       weighted += static_cast<double>(change_live.back()) *

@@ -7,6 +7,7 @@
 
 #include "common/interval.h"
 #include "common/result.h"
+#include "relation/endpoint_index.h"
 #include "relation/temporal_relation.h"
 
 namespace tempus {
@@ -93,14 +94,16 @@ struct IntervalStats {
   static Result<IntervalStats> FromJson(const std::string& json);
 };
 
-/// Builds full statistics for `relation` from `scalars`, the RelationStats
-/// computed when it was registered (Catalog::Entry), plus one scan (and
-/// endpoint sorts) for the distributions: equi-depth endpoint/duration
-/// histograms with `buckets` buckets and a sweep-sampled concurrency
-/// profile. Carries the "stats.build" fault point (docs/TESTING.md).
-/// Requires a temporal schema.
+/// Builds full statistics for `relation` from `scalars` and `index`, the
+/// RelationStats and EndpointIndex built when it was registered
+/// (Catalog::Entry): equi-depth endpoint histograms and the sweep-sampled
+/// concurrency profile are read off the index's permutations, and only
+/// the duration histogram sorts. `buckets` bounds each histogram. Carries
+/// the "stats.build" fault point (docs/TESTING.md). Requires a temporal
+/// schema.
 Result<IntervalStats> BuildIntervalStats(const TemporalRelation& relation,
                                          const RelationStats& scalars,
+                                         const EndpointIndex& index,
                                          size_t buckets = 32);
 
 /// Coarse statistics from scalars only (no histograms); used when a

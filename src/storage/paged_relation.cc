@@ -20,16 +20,26 @@ Result<PagedRelation> PagedRelation::FromRelation(
 
 Result<PagedRelation> PagedRelation::SpillToDisk(
     const TemporalRelation& relation, size_t tuples_per_page,
-    BufferManager* pool, PageIoCounter* io) {
+    BufferManager* pool, PageIoCounter* io, const EndpointIndex* index) {
   TEMPUS_ASSIGN_OR_RETURN(
       PagedRelation paged,
       CreateDiskBacked(relation.name(), relation.schema(), tuples_per_page,
                        pool));
-  for (const Tuple& t : relation.tuples()) {
-    TEMPUS_RETURN_IF_ERROR(paged.Append(t, io));
+  if (index == nullptr) {
+    for (const Tuple& t : relation.tuples()) {
+      TEMPUS_RETURN_IF_ERROR(paged.Append(t, io));
+    }
+    paged.known_order_ = relation.known_order();
+  } else {
+    for (uint32_t row : index->by_start()) {
+      TEMPUS_RETURN_IF_ERROR(paged.Append(relation.tuple(row), io));
+    }
+    TEMPUS_ASSIGN_OR_RETURN(
+        paged.known_order_,
+        SortSpec::ByLifespan(relation.schema(), TemporalField::kValidFrom,
+                             SortDirection::kAscending));
   }
   TEMPUS_RETURN_IF_ERROR(paged.FlushTail(io));
-  paged.known_order_ = relation.known_order();
   return paged;
 }
 

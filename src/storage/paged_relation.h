@@ -11,6 +11,7 @@
 #include "buffer/buffer_manager.h"
 #include "buffer/page_file.h"
 #include "common/result.h"
+#include "relation/endpoint_index.h"
 #include "relation/sort_spec.h"
 #include "relation/temporal_relation.h"
 
@@ -66,14 +67,18 @@ class PagedRelation {
                                             size_t tuples_per_page);
 
   /// Disk-backed: encodes `relation` into a fresh temporary page file,
-  /// carrying over its name, schema and declared order. (Its stats stay on
-  /// the catalog entry; Engine::SpillRelation hands them on.) `pool`
-  /// must outlive the relation; `io` (optional) is charged one write per
-  /// page spilled.
+  /// carrying over its name and schema. Without `index` the pages keep
+  /// storage order and the relation's declared order; with its endpoint
+  /// index the pages go out in ValidFrom^ order (by_start), which the
+  /// paged relation then declares. (Its stats stay on the catalog entry;
+  /// Engine::SpillRelation hands them on.) `pool` must outlive the
+  /// relation; `io` (optional) is charged one write per page spilled.
   static Result<PagedRelation> SpillToDisk(const TemporalRelation& relation,
                                            size_t tuples_per_page,
                                            BufferManager* pool,
-                                           PageIoCounter* io = nullptr);
+                                           PageIoCounter* io = nullptr,
+                                           const EndpointIndex* index =
+                                               nullptr);
 
   /// Empty disk-backed spill target (external sort runs).
   static Result<PagedRelation> CreateDiskBacked(std::string name,
@@ -142,8 +147,9 @@ class PagedRelation {
   Status Append(Tuple tuple, PageIoCounter* io);
   Status FlushTail(PageIoCounter* io);
 
-  /// Declared sort order carried from the source relation (SpillToDisk)
-  /// or set by a sorted producer; lets the planner skip re-sorts.
+  /// Declared sort order: carried from the source relation or written by
+  /// SpillToDisk, or set by a sorted producer. It is the order the planner
+  /// reads off a paged catalog entry, so a scan needing it skips a sort.
   const std::optional<SortSpec>& known_order() const { return known_order_; }
   void DeclareOrder(SortSpec spec) { known_order_ = std::move(spec); }
 

@@ -1,5 +1,7 @@
 #include "exec/engine.h"
 
+#include <algorithm>
+
 #include "buffer/buffer_manager.h"
 #include "datagen/faculty_gen.h"
 #include "gtest/gtest.h"
@@ -161,6 +163,46 @@ TEST(EngineTest, SpillRelationKeepsQueryResultsIdentical) {
   testing::ExpectSameTuples(*after, *before);
 }
 
+TEST(EngineTest, PushedEndpointSelectionIsEvaluatedOnce) {
+  Engine engine;
+  RegisterWorkload(&engine, "R", 41);
+  const std::string tql =
+      "range of a is R range of b is R retrieve (a.S, b.S) "
+      "where a overlap b and a.ValidFrom < 30";
+  // The Select under the join evaluates a.ValidFrom < 30; no Filter above
+  // the join evaluates it again.
+  Result<std::string> explain = engine.Explain(tql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("Select [a.ValidFrom < 30]"), std::string::npos)
+      << *explain;
+  EXPECT_EQ(explain->find("Filter ["), std::string::npos) << *explain;
+
+  // Same rows as the brute-force pairs.
+  const TemporalRelation& r = *engine.catalog().Lookup("R").value();
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < r.size(); ++i) {
+    const Interval a = r.LifespanOf(i);
+    if (a.start >= 30) continue;
+    for (size_t j = 0; j < r.size(); ++j) {
+      const Interval b = r.LifespanOf(j);
+      if (a.start < b.end && b.start < a.end) {
+        expected.push_back(r.tuple(i)[0].ToString() + "," +
+                           r.tuple(j)[0].ToString());
+      }
+    }
+  }
+  Result<TemporalRelation> result = engine.Run(tql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::string> actual;
+  for (const Tuple& t : result->tuples()) {
+    actual.push_back(t[0].ToString() + "," + t[1].ToString());
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(actual.begin(), actual.end());
+  ASSERT_GT(expected.size(), 0u);
+  EXPECT_EQ(actual, expected);
+}
+
 TEST(EngineTest, StaleAnalyzeStatsAreIgnoredAfterReplace) {
   tempus::testing::WorkloadSpec spec;
   spec.count = 100;
@@ -183,7 +225,8 @@ TEST(EngineTest, StaleAnalyzeStatsAreIgnoredAfterReplace) {
       "where a overlap b and a.ValidFrom < 300";
   Result<std::string> stale = engine.Explain(tql, options);
   ASSERT_TRUE(stale.ok()) << stale.status().ToString();
-  EXPECT_NE(stale->find("Scan R [1000 tuples] est=(rows=1000 "),
+  EXPECT_NE(stale->find("IndexScan R [ValidFrom^] [1000 tuples] "
+                        "est=(rows=1000 "),
             std::string::npos)
       << *stale;
   // The planner costs R from its new catalog entry, exactly as if it had
@@ -211,8 +254,13 @@ TEST(EngineTest, ExplainAnalyzeOnSpilledRelationsShowsBufferTraffic) {
 
   // Plan-wide metrics carry real pool traffic: the scans missed, the
   // readahead turned later pages into hits, and the 8-frame pool had to
-  // evict to fit 50 data pages.
-  Result<QueryRun> run = engine.RunQuery(tql);
+  // evict to fit 50 data pages. Batches of one page (8 rows) keep the
+  // pins to a few frames: a disk batch pins every page it spans until it
+  // is cleared, so two streaming scans of 1024-row batches would pin all
+  // 50 pages at once, and the pool overcommits instead of evicting.
+  PlannerOptions one_page_batches;
+  one_page_batches.batch_size = 8;
+  Result<QueryRun> run = engine.RunQuery(tql, one_page_batches);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   TEMPUS_ASSERT_OK(run->status);
   EXPECT_GT(run->metrics.buffer_misses, 0u);

@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "datagen/interval_gen.h"
 #include "gtest/gtest.h"
 #include "opt/cost_model.h"
 #include "stats/interval_stats.h"
@@ -148,6 +150,51 @@ TEST(EstimatorAccuracyTest, EveryDistributionTimesArrangement) {
     for (Arrangement a : AllArrangements()) {
       CheckEstimators(d, a);
       if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+// Coarse statistics (registered scalars only, as for a relation never
+// analyzed) model durations as exponential: a Y fits inside an X with
+// probability mean_x / (mean_x + mean_y). On stationary generated
+// workloads that keeps the Contain-join estimate within 2x of the truth,
+// for a self-join too, where a "Y shorter than the mean X" model says 0.
+TEST(EstimatorAccuracyTest, CoarseContainPairsWithinFactorTwo) {
+  struct Shape {
+    const char* name;
+    double mean_interarrival;
+    double mean_duration;
+    DurationModel model;
+  };
+  for (const Shape& shape : {Shape{"events", 4.0, 16.0,
+                                   DurationModel::kExponential},
+                             Shape{"dense_long", 1.0, 64.0,
+                                   DurationModel::kExponential},
+                             Shape{"uniform", 8.0, 32.0,
+                                   DurationModel::kUniform}}) {
+    IntervalWorkloadConfig config;
+    config.count = 600;
+    config.mean_interarrival = shape.mean_interarrival;
+    config.mean_duration = shape.mean_duration;
+    config.duration_model = shape.model;
+    config.seed = 21;
+    const TemporalRelation x = GenerateIntervalRelation("x", config).value();
+    config.seed = 22;
+    config.mean_duration = shape.mean_duration / 2;
+    const TemporalRelation y = GenerateIntervalRelation("y", config).value();
+    const IntervalStats xs = CoarseStats(x.ComputeStats().value());
+    const IntervalStats ys = CoarseStats(y.ComputeStats().value());
+    ASSERT_FALSE(xs.detailed);
+    for (const auto& [label, right, right_stats] :
+         {std::tuple<std::string, const TemporalRelation*,
+                     const IntervalStats*>{"self", &x, &xs},
+          {"shorter", &y, &ys}}) {
+      const double actual = BruteForce(x, *right).contain_pairs;
+      const double est = EstimateContainPairs(xs, *right_stats);
+      const std::string what =
+          std::string(shape.name) + " " + label + " contain pairs";
+      EXPECT_GT(est, 0.0) << what;
+      ExpectWithinFactor(est, actual, 2.0, 1.0, what);
     }
   }
 }

@@ -100,13 +100,13 @@ TEST(OptimizerTest, HeuristicReusesFreeOrderUnconditionally) {
   const IntervalStats y = StatsOf(5, 1);
   // Free To^ order: reused even when (From^,From^) has less workspace.
   const OrderChoice to_choice =
-      opt.ChooseContainJoinOrder(x, y, kByValidToAsc);
+      opt.ChooseContainJoinOrder(x, y, {kByValidToAsc});
   EXPECT_EQ(to_choice.right_order, kByValidToAsc);
   EXPECT_TRUE(to_choice.reused_order);
   EXPECT_TRUE(to_choice.rationale.empty());
   // No known order: pure workspace comparison with the original note.
   const OrderChoice open_choice =
-      opt.ChooseContainJoinOrder(x, y, std::nullopt);
+      opt.ChooseContainJoinOrder(x, y, {});
   EXPECT_EQ(open_choice.right_order, kByValidFromAsc);
   EXPECT_NE(open_choice.rationale.find("ws(From^,From^)"),
             std::string::npos);
@@ -119,14 +119,14 @@ TEST(OptimizerTest, CostBasedPricesTheEnforcerSort) {
   // (From^,From^) has clearly less workspace; when neither order is free
   // the sort costs cancel and workspace decides.
   const OrderChoice open_choice =
-      opt.ChooseContainJoinOrder(x, y, std::nullopt);
+      opt.ChooseContainJoinOrder(x, y, {});
   EXPECT_EQ(open_choice.right_order, kByValidFromAsc);
   EXPECT_FALSE(open_choice.reused_order);
   EXPECT_NE(open_choice.rationale.find("sort="), std::string::npos);
   // A free To^ order makes reuse win: the workspace delta cannot repay an
   // n log n sort at this scale.
   const OrderChoice to_choice =
-      opt.ChooseContainJoinOrder(x, y, kByValidToAsc);
+      opt.ChooseContainJoinOrder(x, y, {kByValidToAsc});
   EXPECT_EQ(to_choice.right_order, kByValidToAsc);
   EXPECT_TRUE(to_choice.reused_order);
 }
@@ -138,7 +138,7 @@ TEST(OptimizerTest, CostBasedPicksFromToWhenContaineesNeverFit) {
   // sort costs cancel.
   const IntervalStats x = StatsOf(100, 4);
   const IntervalStats y = StatsOf(200, 1);
-  const OrderChoice choice = opt.ChooseContainJoinOrder(x, y, std::nullopt);
+  const OrderChoice choice = opt.ChooseContainJoinOrder(x, y, {});
   EXPECT_EQ(choice.right_order, kByValidToAsc);
   EXPECT_FALSE(choice.reused_order);
 }

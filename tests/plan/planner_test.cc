@@ -1,8 +1,10 @@
 #include "plan/planner.h"
 
+#include "buffer/buffer_manager.h"
 #include "datagen/faculty_gen.h"
 #include "datagen/interval_gen.h"
 #include "gtest/gtest.h"
+#include "storage/paged_relation.h"
 #include "testing/test_util.h"
 
 namespace tempus {
@@ -207,8 +209,11 @@ TEST(PlannerTest, CostModelPicksContainJoinOrdering) {
 }
 
 TEST(PlannerTest, ContainJoinReusesExistingInterestingOrder) {
-  // A base relation already sorted ValidTo^ should be consumed as-is
-  // (free interesting order) rather than re-sorted.
+  // A stored relation whose one free order is ValidTo^ (a page file that
+  // declares it) should be consumed as-is rather than re-sorted. An
+  // in-memory relation would not do: its endpoint index makes every
+  // canonical order free.
+  BufferManager pool(8);  // Outlives the catalog's page file.
   Catalog catalog;
   IntegrityCatalog integrity;
   IntervalWorkloadConfig config;
@@ -221,7 +226,11 @@ TEST(PlannerTest, ContainJoinReusesExistingInterestingOrder) {
                                 SortDirection::kAscending)
                .value());
   TEMPUS_ASSERT_OK(catalog.Register(std::move(x)));
-  TEMPUS_ASSERT_OK(catalog.Register(std::move(y)));
+  Result<PagedRelation> disk = PagedRelation::SpillToDisk(y, 16, &pool);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  catalog.RegisterOrReplacePaged(
+      "Y", std::make_shared<const PagedRelation>(std::move(*disk)),
+      y.ComputeStats().value());
   ConjunctiveQuery q;
   q.range_vars = {{"a", "X"}, {"b", "Y"}};
   TemporalAtom atom;
@@ -233,9 +242,11 @@ TEST(PlannerTest, ContainJoinReusesExistingInterestingOrder) {
   Planner planner(&catalog, &integrity);
   Result<PlannedQuery> plan = planner.Plan(q);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  // Right side keeps its ValidTo^ order; only the left gets a Sort.
+  // Right side keeps its ValidTo^ order; the left is an index scan, so
+  // nothing is sorted.
   EXPECT_NE(plan->explain.find("(ValidFrom^, ValidTo^)"), std::string::npos)
       << plan->explain;
+  EXPECT_EQ(plan->explain.find("Sort"), std::string::npos) << plan->explain;
   Result<TemporalRelation> result = plan->Execute();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }

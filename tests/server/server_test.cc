@@ -468,6 +468,21 @@ TEST_F(ServerTest, StatsTotalsCountBatchWork) {
   EXPECT_GT(CounterAfter(*stats, "\"sessions\":", "batches"), 0u);
 }
 
+TEST_F(ServerTest, StatsListEachRelationsIndexAndOrders) {
+  StartServer(ServerOptions());
+  TqlClient client = MustConnect();
+  Result<std::string> stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // Events has 1,000 rows: two 4-byte row ids each, and all four
+  // canonical orders through its endpoint index.
+  EXPECT_NE(stats->find("{\"name\":\"Events\",\"storage\":\"memory\","
+                        "\"tuples\":1000,\"index_bytes\":8000,\"orders\":["
+                        "\"ValidFrom^\",\"ValidFromv\",\"ValidTo^\","
+                        "\"ValidTov\"]}"),
+            std::string::npos)
+      << *stats;
+}
+
 TEST_F(ServerTest, GracefulShutdownDrainsAndJoinsEverything) {
   ServerOptions options;
   options.shutdown_cancel_after_ms = 50;

@@ -49,12 +49,12 @@ inline TemporalRelation MakeIntervals(
   return rel;
 }
 
-/// `analyze`'s statistics for `rel`, built from the scalars its catalog
-/// registration computes.
+/// `analyze`'s statistics for `rel`, built from the index and scalars its
+/// catalog registration builds.
 inline Result<IntervalStats> BuildStats(const TemporalRelation& rel,
                                         size_t buckets = 32) {
-  TEMPUS_ASSIGN_OR_RETURN(RelationStats scalars, rel.ComputeStats());
-  return BuildIntervalStats(rel, scalars, buckets);
+  TEMPUS_ASSIGN_OR_RETURN(IndexedStats indexed, IndexEndpoints(rel));
+  return BuildIntervalStats(rel, indexed.stats, indexed.index, buckets);
 }
 
 /// Lifespans of all tuples, in relation order.
