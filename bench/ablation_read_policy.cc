@@ -26,9 +26,9 @@ PolicyRun RunPolicy(const TemporalRelation& xs, const TemporalRelation& ys,
                     ContainJoinReadPolicy policy) {
   ContainJoinOptions options;
   options.read_policy = policy;
-  std::unique_ptr<ContainJoinStream> join = ValueOrDie(
-      ContainJoinStream::Create(VectorStream::Scan(xs),
-                                VectorStream::Scan(ys), options),
+  std::unique_ptr<TupleStream> join = ValueOrDie(
+      MakeContainJoin(VectorStream::Scan(xs),
+                      VectorStream::Scan(ys), options),
       "contain join");
   const RunStats stats = RunPipeline(join.get());
   return {join->metrics().peak_workspace_tuples,

@@ -4,14 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/string_util.h"
 #include "obs/metrics_json.h"
-#include "stream/batch.h"
 #include "stream/stream.h"
 
 namespace tempus {
@@ -86,28 +84,6 @@ inline RunStats RunPipeline(TupleStream* root, const char* label = nullptr) {
   return stats;
 }
 
-/// RunPipeline's batch-mode twin: drains through NextBatch() with the
-/// given batch size (0 = TEMPUS_BATCH_SIZE / 1024), for the batch-vs-tuple
-/// comparisons of the table benches (docs/BATCH.md).
-inline RunStats RunPipelineBatched(TupleStream* root, size_t batch_size = 0,
-                                   const char* label = nullptr) {
-  RunStats stats;
-  const auto start = std::chrono::steady_clock::now();
-  stats.output_tuples =
-      ValueOrDie(DrainCountBatches(root, batch_size), "batched run");
-  const auto end = std::chrono::steady_clock::now();
-  stats.seconds = std::chrono::duration<double>(end - start).count();
-  stats.plan_metrics = CollectPlanMetrics(*root);
-  if (std::getenv("TEMPUS_BENCH_JSON") != nullptr) {
-    const std::string tag = label != nullptr ? label : root->label();
-    std::printf("BENCH_JSON {\"label\":\"%s\",\"seconds\":%.6f,"
-                "\"output_tuples\":%zu,\"metrics\":%s}\n",
-                JsonEscape(tag).c_str(), stats.seconds, stats.output_tuples,
-                MetricsToJson(stats.plan_metrics).c_str());
-  }
-  return stats;
-}
-
 /// Fixed-width ASCII table, matching the layout of the paper's tables.
 class TablePrinter {
  public:
@@ -166,50 +142,6 @@ inline std::string Millis(double seconds) {
 
 inline void Banner(const char* title, const char* subtitle) {
   std::printf("\n=== %s ===\n%s\n\n", title, subtitle);
-}
-
-/// One "label: tuple Xms vs batch Yms = Z.ZZx" comparison line for the
-/// batch-vs-tuple sections of the table benches.
-inline void PrintBatchSpeedup(const char* label, double tuple_seconds,
-                              double batch_seconds, size_t out_tuples) {
-  std::printf("%-36s tuple %-9s vs batch %-9s = %.2fx  (%zu out)\n", label,
-              Millis(tuple_seconds).c_str(), Millis(batch_seconds).c_str(),
-              batch_seconds > 0 ? tuple_seconds / batch_seconds : 0.0,
-              out_tuples);
-}
-
-/// Builds the same pipeline twice through `make` — once with batch size 0
-/// (the tuple-at-a-time operator) and once at the default batch size
-/// (TEMPUS_BATCH_SIZE / 1024, docs/BATCH.md) — drains both, checks the
-/// cardinalities agree, and prints one speedup line. Each side runs
-/// `repeats` times keeping the best wall time, so the single-shot table
-/// benches report stable ratios.
-inline void CompareBatchVsTuple(
-    const char* label,
-    const std::function<std::unique_ptr<TupleStream>(size_t)>& make,
-    int repeats = 3) {
-  if (SmokeMode()) repeats = 1;
-  double tuple_best = 0.0, batch_best = 0.0;
-  size_t tuple_out = 0, batch_out = 0;
-  for (int r = 0; r < repeats; ++r) {
-    std::unique_ptr<TupleStream> tuple_op = make(0);
-    const RunStats t =
-        RunPipeline(tuple_op.get(), (std::string(label) + " [tuple]").c_str());
-    std::unique_ptr<TupleStream> batch_op = make(DefaultBatchSize());
-    const RunStats b = RunPipelineBatched(
-        batch_op.get(), 0, (std::string(label) + " [batch]").c_str());
-    if (r == 0 || t.seconds < tuple_best) tuple_best = t.seconds;
-    if (r == 0 || b.seconds < batch_best) batch_best = b.seconds;
-    tuple_out = t.output_tuples;
-    batch_out = b.output_tuples;
-  }
-  if (tuple_out != batch_out) {
-    std::fprintf(stderr,
-                 "FATAL (%s): tuple path emitted %zu rows, batch path %zu\n",
-                 label, tuple_out, batch_out);
-    std::abort();
-  }
-  PrintBatchSpeedup(label, tuple_best, batch_best, batch_out);
 }
 
 }  // namespace bench

@@ -53,7 +53,7 @@ std::unique_ptr<TupleStream> MakeJoin(const TemporalRelation& x,
                                       const TemporalRelation& y,
                                       bool hammered) {
   std::unique_ptr<TupleStream> join = ValueOrDie(
-      ContainJoinStream::Create(VectorStream::Scan(x), VectorStream::Scan(y)),
+      MakeContainJoin(VectorStream::Scan(x), VectorStream::Scan(y)),
       "contain join");
   if (hammered) {
     join = std::make_unique<FaultHammerStream>(std::move(join));

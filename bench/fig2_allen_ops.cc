@@ -39,8 +39,8 @@ std::unique_ptr<TupleStream> MakeStreamPlan(const TemporalRelation& x,
   }
   AllenSweepJoinOptions options;
   options.mask = AllenMask::Single(rel);
-  return ValueOrDie(AllenSweepJoin::Create(VectorStream::Scan(x),
-                                           VectorStream::Scan(y), options),
+  return ValueOrDie(MakeAllenSweepJoin(VectorStream::Scan(x),
+                                       VectorStream::Scan(y), options),
                     "sweep join");
 }
 

@@ -39,9 +39,8 @@ void Figure5() {
       Make("Y", {{1, 2}, {3, 6}, {4, 14}, {6, 8}, {11, 12}});
   PrintRelation(x);
   PrintRelation(y);
-  std::unique_ptr<ContainJoinStream> join = ValueOrDie(
-      ContainJoinStream::Create(VectorStream::Scan(x), VectorStream::Scan(y),
-                                {}),
+  std::unique_ptr<TupleStream> join = ValueOrDie(
+      MakeContainJoin(VectorStream::Scan(x), VectorStream::Scan(y), {}),
       "contain join");
   CheckOk(join->Open(), "open");
   Tuple t;

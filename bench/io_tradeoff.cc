@@ -72,8 +72,8 @@ void Run() {
   {
     PageIoCounter io;
     ContainJoinOptions options;
-    std::unique_ptr<ContainJoinStream> join = ValueOrDie(
-        ContainJoinStream::Create(
+    std::unique_ptr<TupleStream> join = ValueOrDie(
+        MakeContainJoin(
             std::make_unique<PagedScanStream>(&paged_x_sorted, &io),
             std::make_unique<PagedScanStream>(&paged_y_sorted, &io),
             options),
@@ -102,9 +102,9 @@ void Run() {
         "sort Y");
     ExternalSortStream* sx = sort_x.get();
     ExternalSortStream* sy = sort_y.get();
-    std::unique_ptr<ContainJoinStream> join = ValueOrDie(
-        ContainJoinStream::Create(std::move(sort_x), std::move(sort_y),
-                                  options),
+    std::unique_ptr<TupleStream> join = ValueOrDie(
+        MakeContainJoin(std::move(sort_x), std::move(sort_y),
+                        options),
         "join");
     const RunStats stats = RunPipeline(join.get());
     table.AddRow(
@@ -191,8 +191,8 @@ void Run() {
     const size_t data_frames =
         disk_x->file()->frame_count() + disk_y->file()->frame_count();
     ContainJoinOptions options;
-    std::unique_ptr<ContainJoinStream> join = ValueOrDie(
-        ContainJoinStream::Create(
+    std::unique_ptr<TupleStream> join = ValueOrDie(
+        MakeContainJoin(
             std::make_unique<PagedScanStream>(disk_x, &io),
             std::make_unique<PagedScanStream>(disk_y, &io), options),
         "join");

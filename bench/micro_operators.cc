@@ -13,7 +13,6 @@
 #include "bench_util.h"
 #include "datagen/interval_gen.h"
 #include "join/allen_sweep_join.h"
-#include "join/batch_sweep.h"
 #include "join/contain_join.h"
 #include "join/containment_semijoin.h"
 #include "join/nested_loop.h"
@@ -54,22 +53,9 @@ const Workload& SharedWorkload(size_t n) {
   return it->second;
 }
 
-void BM_ContainJoin_Sweep(benchmark::State& state) {
-  const Workload& w = SharedWorkload(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::unique_ptr<ContainJoinStream> join = ValueOrDie(
-        ContainJoinStream::Create(VectorStream::Scan(w.x),
-                                  VectorStream::Scan(w.y), {}),
-        "join");
-    benchmark::DoNotOptimize(ValueOrDie(DrainCount(join.get()), "drain"));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
-}
-BENCHMARK(BM_ContainJoin_Sweep)->Arg(1000)->Arg(4000)->Arg(16000);
-
 void BM_ContainJoin_SweepBatch(benchmark::State& state) {
-  // Batch twin of BM_ContainJoin_Sweep (docs/BATCH.md): the same sweep
-  // through the columnar batch operator, drained a batch at a time.
+  // The Table 1 (From^, From^) sweep through the columnar batch operator
+  // (docs/BATCH.md), drained a batch at a time.
   const Workload& w = SharedWorkload(static_cast<size_t>(state.range(0)));
   ContainJoinOptions options;
   options.batch_size = 1024;
@@ -102,22 +88,6 @@ void BM_ContainJoin_NestedLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ContainJoin_NestedLoop)->Arg(1000)->Arg(4000);
 
-void BM_ContainSemijoin_TwoBuffer(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const Workload& w = SharedWorkload(n);
-  const TemporalRelation ys = w.y.SortedBy(
-      ValueOrDie(kByValidToAsc.ToSortSpec(w.y.schema()), "spec"));
-  for (auto _ : state) {
-    std::unique_ptr<TupleStream> semi = ValueOrDie(
-        MakeContainSemijoin(VectorStream::Scan(w.x), VectorStream::Scan(ys),
-                            {kByValidFromAsc, kByValidToAsc, true, false}),
-        "semi");
-    benchmark::DoNotOptimize(ValueOrDie(DrainCount(semi.get()), "drain"));
-  }
-  state.SetItemsProcessed(state.iterations() * n * 2);
-}
-BENCHMARK(BM_ContainSemijoin_TwoBuffer)->Arg(1000)->Arg(16000);
-
 void BM_ContainSemijoin_TwoBufferBatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Workload& w = SharedWorkload(n);
@@ -137,17 +107,6 @@ void BM_ContainSemijoin_TwoBufferBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ContainSemijoin_TwoBufferBatch)->Arg(1000)->Arg(16000);
 
-void BM_SelfContainedSemijoin_SingleScan(benchmark::State& state) {
-  const Workload& w = SharedWorkload(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::unique_ptr<TupleStream> semi = ValueOrDie(
-        MakeSelfContainedSemijoin(VectorStream::Scan(w.x), {}), "semi");
-    benchmark::DoNotOptimize(ValueOrDie(DrainCount(semi.get()), "drain"));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SelfContainedSemijoin_SingleScan)->Arg(1000)->Arg(16000);
-
 void BM_SelfContainedSemijoin_SingleScanBatch(benchmark::State& state) {
   const Workload& w = SharedWorkload(static_cast<size_t>(state.range(0)));
   SelfSemijoinOptions options;
@@ -161,18 +120,6 @@ void BM_SelfContainedSemijoin_SingleScanBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SelfContainedSemijoin_SingleScanBatch)->Arg(1000)->Arg(16000);
-
-void BM_OverlapSweepJoin(benchmark::State& state) {
-  const Workload& w = SharedWorkload(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::unique_ptr<AllenSweepJoin> join = ValueOrDie(
-        MakeOverlapJoin(VectorStream::Scan(w.x), VectorStream::Scan(w.y)),
-        "join");
-    benchmark::DoNotOptimize(ValueOrDie(DrainCount(join.get()), "drain"));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
-}
-BENCHMARK(BM_OverlapSweepJoin)->Arg(1000)->Arg(8000);
 
 void BM_OverlapSweepJoinBatch(benchmark::State& state) {
   const Workload& w = SharedWorkload(static_cast<size_t>(state.range(0)));

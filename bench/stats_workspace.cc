@@ -26,9 +26,9 @@ size_t PeakWorkspace(const TemporalRelation& x, const TemporalRelation& y,
   ContainJoinOptions options;
   options.left_order = xo;
   options.right_order = yo;
-  std::unique_ptr<ContainJoinStream> join = ValueOrDie(
-      ContainJoinStream::Create(VectorStream::Scan(xs),
-                                VectorStream::Scan(ys), options),
+  std::unique_ptr<TupleStream> join = ValueOrDie(
+      MakeContainJoin(VectorStream::Scan(xs),
+                      VectorStream::Scan(ys), options),
       "contain join");
   RunPipeline(join.get());
   return join->metrics().peak_workspace_tuples;

@@ -15,7 +15,6 @@
 
 #include "bench_util.h"
 #include "datagen/interval_gen.h"
-#include "join/batch_sweep.h"
 #include "join/contain_join.h"
 #include "join/containment_semijoin.h"
 #include "join/no_gc_join.h"
@@ -38,7 +37,7 @@ std::string JoinCell(const TemporalRelation& xs, const TemporalRelation& ys,
   ContainJoinOptions options;
   options.left_order = xo;
   options.right_order = yo;
-  Result<std::unique_ptr<ContainJoinStream>> join = ContainJoinStream::Create(
+  Result<std::unique_ptr<TupleStream>> join = MakeContainJoin(
       VectorStream::Scan(xs), VectorStream::Scan(ys), options);
   if (join.ok()) {
     const RunStats stats = RunPipeline(join->get());
@@ -138,56 +137,6 @@ void Run() {
       "\nReading: bounded cells stay near the max-concurrency bound "
       "(%zu/%zu);\n'-' cells degenerate to state = |X|+|Y| = %zu.\n",
       xstats.max_concurrency, ystats.max_concurrency, x.size() + y.size());
-
-  // Batch path vs tuple path (docs/BATCH.md): the same Table 1 operators
-  // through the batch factories at the default batch size, best of three.
-  std::printf("\n-- batch vs tuple, batch size %zu --\n", DefaultBatchSize());
-  const TemporalRelation x_fa = x.SortedBy(
-      ValueOrDie(kByValidFromAsc.ToSortSpec(x.schema()), "spec"));
-  const TemporalRelation y_fa = y.SortedBy(
-      ValueOrDie(kByValidFromAsc.ToSortSpec(y.schema()), "spec"));
-  const TemporalRelation y_ta = y.SortedBy(
-      ValueOrDie(kByValidToAsc.ToSortSpec(y.schema()), "spec"));
-
-  CompareBatchVsTuple("Contain-join (From^, From^)", [&](size_t batch) {
-    ContainJoinOptions options;
-    options.batch_size = batch;
-    return ValueOrDie(MakeContainJoin(VectorStream::Scan(x_fa),
-                                      VectorStream::Scan(y_fa), options),
-                      "contain-join FA/FA");
-  });
-  CompareBatchVsTuple("Contain-join (From^, To^)", [&](size_t batch) {
-    ContainJoinOptions options;
-    options.right_order = kByValidToAsc;
-    options.batch_size = batch;
-    return ValueOrDie(MakeContainJoin(VectorStream::Scan(x_fa),
-                                      VectorStream::Scan(y_ta), options),
-                      "contain-join FA/TA");
-  });
-  CompareBatchVsTuple("Contain-semijoin (From^, To^)", [&](size_t batch) {
-    TemporalSemijoinOptions options;
-    options.batch_size = batch;
-    return ValueOrDie(MakeContainSemijoin(VectorStream::Scan(x_fa),
-                                          VectorStream::Scan(y_ta), options),
-                      "contain-semijoin FA/TA");
-  });
-  CompareBatchVsTuple("Contain-semijoin (From^, From^)", [&](size_t batch) {
-    TemporalSemijoinOptions options;
-    options.right_order = kByValidFromAsc;
-    options.batch_size = batch;
-    return ValueOrDie(MakeContainSemijoin(VectorStream::Scan(x_fa),
-                                          VectorStream::Scan(y_fa), options),
-                      "contain-semijoin FA/FA");
-  });
-  CompareBatchVsTuple("Contained-semijoin (From^, From^)", [&](size_t batch) {
-    TemporalSemijoinOptions options;
-    options.left_order = kByValidFromAsc;
-    options.right_order = kByValidFromAsc;
-    options.batch_size = batch;
-    return ValueOrDie(MakeContainedSemijoin(VectorStream::Scan(x_fa),
-                                            VectorStream::Scan(y_fa), options),
-                      "contained-semijoin FA/FA");
-  });
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "bench_util.h"
 #include "datagen/interval_gen.h"
 #include "join/allen_sweep_join.h"
-#include "join/batch_sweep.h"
 #include "join/no_gc_join.h"
 #include "join/nested_loop.h"
 #include "join/overlap_semijoin.h"
@@ -23,7 +22,7 @@ std::string JoinCell(const TemporalRelation& xs, const TemporalRelation& ys,
   options.mask = AllenMask::Intersecting();
   options.left_order = order;
   options.right_order = order;
-  Result<std::unique_ptr<AllenSweepJoin>> join = AllenSweepJoin::Create(
+  Result<std::unique_ptr<TupleStream>> join = MakeAllenSweepJoin(
       VectorStream::Scan(xs), VectorStream::Scan(ys), options);
   if (join.ok()) {
     const RunStats stats = RunPipeline(join->get());
@@ -48,7 +47,7 @@ std::string SemiCell(const TemporalRelation& xs, const TemporalRelation& ys,
                      TemporalSortOrder order) {
   OverlapSemijoinOptions options;
   options.order = order;
-  Result<std::unique_ptr<OverlapSemijoin>> semi = OverlapSemijoin::Create(
+  Result<std::unique_ptr<TupleStream>> semi = MakeOverlapSemijoin(
       VectorStream::Scan(xs), VectorStream::Scan(ys), options);
   if (!semi.ok()) return "-";
   const RunStats stats = RunPipeline(semi->get());
@@ -88,29 +87,6 @@ void Run() {
                   JoinCell(xs, ys, order), SemiCell(xs, ys, order)});
   }
   table.Print();
-
-  // Batch path vs tuple path (docs/BATCH.md) on the one GC-admitting
-  // ordering, at the default batch size, best of three.
-  std::printf("\n-- batch vs tuple, batch size %zu --\n", DefaultBatchSize());
-  const TemporalRelation x_fa = x.SortedBy(
-      ValueOrDie(kByValidFromAsc.ToSortSpec(x.schema()), "spec"));
-  const TemporalRelation y_fa = y.SortedBy(
-      ValueOrDie(kByValidFromAsc.ToSortSpec(y.schema()), "spec"));
-
-  CompareBatchVsTuple("Overlap-join (From^, From^)", [&](size_t batch) {
-    AllenSweepJoinOptions options;
-    options.batch_size = batch;
-    return ValueOrDie(MakeAllenSweepJoin(VectorStream::Scan(x_fa),
-                                         VectorStream::Scan(y_fa), options),
-                      "overlap join");
-  });
-  CompareBatchVsTuple("Overlap-semijoin (From^, From^)", [&](size_t batch) {
-    OverlapSemijoinOptions options;
-    options.batch_size = batch;
-    return ValueOrDie(MakeOverlapSemijoin(VectorStream::Scan(x_fa),
-                                          VectorStream::Scan(y_fa), options),
-                      "overlap semijoin");
-  });
 }
 
 }  // namespace

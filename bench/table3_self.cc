@@ -63,37 +63,6 @@ void Run() {
       ValueOrDie(GenerateIntervalRelation("Random", config), "gen random");
   RunOn("random exponential durations", random);
 
-  // Batch path vs tuple path (docs/BATCH.md) on the random workload at the
-  // default batch size, best of three.
-  std::printf("\n-- batch vs tuple, batch size %zu --\n", DefaultBatchSize());
-  const TemporalRelation r_fa = random.SortedBy(
-      ValueOrDie(kByValidFromAsc.ToSortSpec(random.schema()), "spec"));
-  const TemporalRelation r_fd = random.SortedBy(
-      ValueOrDie(kByValidFromDesc.ToSortSpec(random.schema()), "spec"));
-
-  CompareBatchVsTuple("Contained-semijoin(X,X) (From^)", [&](size_t batch) {
-    SelfSemijoinOptions options;
-    options.batch_size = batch;
-    return ValueOrDie(
-        MakeSelfContainedSemijoin(VectorStream::Scan(r_fa), options),
-        "self contained FA");
-  });
-  CompareBatchVsTuple("Contain-semijoin(X,X) (From^)", [&](size_t batch) {
-    SelfSemijoinOptions options;
-    options.batch_size = batch;
-    return ValueOrDie(
-        MakeSelfContainSemijoin(VectorStream::Scan(r_fa), options),
-        "self contain FA");
-  });
-  CompareBatchVsTuple("Contain-semijoin(X,X) (From v)", [&](size_t batch) {
-    SelfSemijoinOptions options;
-    options.order = kByValidFromDesc;
-    options.batch_size = batch;
-    return ValueOrDie(
-        MakeSelfContainSemijoin(VectorStream::Scan(r_fd), options),
-        "self contain FD");
-  });
-
   std::printf(
       "\nReading: with the right order both operators are single-scan, "
       "single-state\n(the Section 5 Superstar plan relies on exactly "

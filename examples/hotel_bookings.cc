@@ -53,7 +53,7 @@ int main() {
   AllenSweepJoinOptions options;
   options.mask = AllenMask::Intersecting();
   options.naming = {"a", "b"};
-  Result<std::unique_ptr<AllenSweepJoin>> sweep = AllenSweepJoin::Create(
+  Result<std::unique_ptr<TupleStream>> sweep = MakeAllenSweepJoin(
       VectorStream::Scan(bookings), VectorStream::Scan(bookings), options);
   if (!sweep.ok()) return Fail(sweep.status(), "create join");
 

@@ -19,11 +19,12 @@
 // TEMPUS_FRAME_BUDGET default), --page tuples per page — the same
 // byte-identical oracle comparison, now exercising the storage stack.
 //
-// --batch=K plans the batch-at-a-time operators (docs/BATCH.md) with
+// --batch=K (default 1024) runs the operators (docs/BATCH.md) with
 // batches of K rows, drains through NextBatch(), and additionally requires
-// the output to be byte-identical to the tuple-at-a-time twin of the same
-// case. A comma list (--batch=1,3,64,1024) repeats each case at every
-// listed size; under --sweep this multiplies the stream-mode cases.
+// the output to be byte-identical, in order, to the same case at batch 1;
+// semijoin outputs must also keep their promised order. A comma list
+// (--batch=1,3,64,1024) repeats each case at every listed size; under
+// --sweep this multiplies the stream-mode cases. K must be at least 1.
 //
 // --kernel=vector wraps each case's plan in the compiled endpoint filter
 // of the expression-kernel layer (vectorized selection-vector path);
@@ -59,8 +60,8 @@ bool ConsumeFlag(std::string_view arg, std::string_view name,
   return true;
 }
 
-/// Parses "K" or "K1,K2,..." into batch sizes. Empty result means a parse
-/// error.
+/// Parses "K" or "K1,K2,..." into batch sizes, each at least 1. Empty
+/// result means a parse error.
 std::vector<size_t> ParseBatchList(std::string_view v) {
   std::vector<size_t> sizes;
   while (!v.empty()) {
@@ -69,7 +70,7 @@ std::vector<size_t> ParseBatchList(std::string_view v) {
     if (token.empty()) return {};
     char* end = nullptr;
     const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return {};
+    if (end == nullptr || *end != '\0' || parsed == 0) return {};
     sizes.push_back(static_cast<size_t>(parsed));
     if (comma == std::string_view::npos) break;
     v.remove_prefix(comma + 1);
@@ -102,11 +103,12 @@ int RunCase(const DifferentialCase& c, bool verbose) {
   }
   if (!result->ok()) {
     std::fprintf(stderr,
-                 "FAIL match=%d bound_ok=%d ledger_ok=%d tuple_twin_ok=%d "
-                 "engine=%zu oracle=%zu peak=%zu bound=%zu\n"
+                 "FAIL match=%d bound_ok=%d ledger_ok=%d batch_one_ok=%d "
+                 "order_ok=%d engine=%zu oracle=%zu peak=%zu bound=%zu\n"
                  "  diff: %s\n  repro: %s\n",
                  result->match ? 1 : 0, result->bound_ok ? 1 : 0,
-                 result->ledger_ok ? 1 : 0, result->tuple_twin_ok ? 1 : 0,
+                 result->ledger_ok ? 1 : 0, result->batch_one_ok ? 1 : 0,
+                 result->order_ok ? 1 : 0,
                  result->engine_tuples, result->oracle_tuples,
                  result->peak_workspace, result->bound, result->diff.c_str(),
                  ReproCommand(c).c_str());
@@ -120,7 +122,7 @@ int RunCase(const DifferentialCase& c, bool verbose) {
                 result->bound_checked
                     ? (" bound=" + std::to_string(result->bound)).c_str()
                     : "",
-                c.batch_size > 0
+                c.mode == tempus::testing::ExecMode::kSequential
                     ? (" batch=" + std::to_string(c.batch_size)).c_str()
                     : "",
                 c.kernel != KernelMode::kOff
@@ -165,9 +167,9 @@ int Sweep(const DifferentialCase& base, const std::vector<size_t>& batches,
           }
         }
         // No-GC mode is order-free; the arrangement is the input order.
-        // The degenerate operators have no batch conversion, so the batch
-        // axis does not apply here. The sequenced operators have no no-GC
-        // twin at all (see HasNoGcMode).
+        // The degenerate operators drain row by row, so the batch axis
+        // does not apply here. The sequenced operators have no no-GC twin
+        // at all (see HasNoGcMode).
         if (!HasNoGcMode(op)) continue;
         DifferentialCase c = base;
         c.op = op;
@@ -176,7 +178,6 @@ int Sweep(const DifferentialCase& base, const std::vector<size_t>& batches,
         c.arrangement = arr;
         c.count = count;
         c.seed = seed + cases;
-        c.batch_size = 0;
         failures += RunCase(c, verbose);
         ++cases;
       }
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
   bool sweep = false;
   bool verbose = false;
   bool have_op = false;
-  std::vector<size_t> batches = {0};  // Tuple-at-a-time unless --batch given.
+  std::vector<size_t> batches = {1024};
   std::vector<KernelMode> kernels = {KernelMode::kOff};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -268,7 +269,10 @@ int main(int argc, char** argv) {
     } else if (ConsumeFlag(arg, "batch", &v)) {
       batches = ParseBatchList(v);
       if (batches.empty()) {
-        std::fprintf(stderr, "bad --batch list: %s\n", argv[i]);
+        std::fprintf(stderr,
+                     "bad --batch list: %s (sizes are integers >= 1; there "
+                     "is no tuple-at-a-time mode)\n",
+                     argv[i]);
         return 2;
       }
     } else if (ConsumeFlag(arg, "kernel", &v)) {

@@ -7,9 +7,9 @@
 # Each tree then re-runs its suites with TEMPUS_FRAME_BUDGET=4, forcing
 # every disk-backed scan through a 4-frame buffer pool so eviction and
 # overcommit paths run under memory pressure (docs/STORAGE.md), and again
-# with TEMPUS_BATCH_SIZE=3, forcing every batch-converted operator through
-# tiny partial batches so the batch-boundary paths run under each
-# sanitizer (docs/BATCH.md), again with TEMPUS_VECTOR_KERNELS=off so the
+# with TEMPUS_BATCH_SIZE=3, driving every operator (each has one
+# implementation, its batch loop) through tiny partial batches so the
+# batch-boundary paths run under each sanitizer (docs/BATCH.md), again with TEMPUS_VECTOR_KERNELS=off so the
 # interpreted expression path stays byte-identical alongside the
 # vectorized default (docs/BATCH.md), and once more with
 # TEMPUS_OPTIMIZER=off so the heuristic planner path stays green

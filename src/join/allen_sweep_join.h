@@ -2,7 +2,6 @@
 #define TEMPUS_JOIN_ALLEN_SWEEP_JOIN_H_
 
 #include <memory>
-#include <vector>
 
 #include "allen/interval_algebra.h"
 #include "join/join_common.h"
@@ -21,8 +20,7 @@ struct AllenSweepJoinOptions {
   TemporalSortOrder right_order = kByValidFromAsc;
   bool verify_input_order = true;
   JoinNaming naming;
-  /// > 0 selects the batch-at-a-time implementation with this batch size
-  /// (docs/BATCH.md); 0 keeps the tuple-at-a-time operator.
+  /// Rows per batch (docs/BATCH.md); 0 means DefaultBatchSize().
   size_t batch_size = 0;
 };
 
@@ -31,80 +29,11 @@ struct AllenSweepJoinOptions {
 /// both inputs ordered by ValidFrom ascending, the state on each side is
 /// the set of tuples whose lifespan spans the sweep position — the paper's
 /// Table 2 characterization (a) for the Overlap-join, generalized to
-/// arbitrary masks.
-///
-/// The Overlap-join of Section 4.2.4 (TQuel `overlap`) is this operator
-/// with mask = AllenMask::Intersecting(); see MakeOverlapJoin.
-class AllenSweepJoin : public TupleStream {
- public:
-  static Result<std::unique_ptr<AllenSweepJoin>> Create(
-      std::unique_ptr<TupleStream> left, std::unique_ptr<TupleStream> right,
-      AllenSweepJoinOptions options = {});
-
-  const Schema& schema() const override { return schema_; }
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  std::vector<const TupleStream*> children() const override {
-    return {left_.get(), right_.get()};
-  }
-
- private:
-  struct StateEntry {
-    Tuple tuple;
-    Interval span;  // Sweep coordinates.
-  };
-
-  AllenSweepJoin(std::unique_ptr<TupleStream> left,
-                 std::unique_ptr<TupleStream> right,
-                 AllenSweepJoinOptions options, SweepFrame frame,
-                 AllenMask frame_mask, Schema schema, LifespanRef left_ref,
-                 LifespanRef right_ref);
-
-  Result<bool> FillPeek(bool left_side);
-  void CollectGarbage();
-  Result<bool> Advance();
-
-  std::unique_ptr<TupleStream> left_;
-  std::unique_ptr<TupleStream> right_;
-  AllenSweepJoinOptions options_;
-  SweepFrame frame_;
-  /// options_.mask transported into sweep coordinates (mirrored frames
-  /// mirror the mask, so testing frame spans is equivalent).
-  AllenMask frame_mask_;
-  /// GC boundaries: keep `meets` / `met-by` candidates alive exactly when
-  /// the mask needs touching endpoints.
-  bool keep_left_touch_ = false;
-  bool keep_right_touch_ = false;
-  Schema schema_;
-  LifespanRef left_ref_;
-  LifespanRef right_ref_;
-  std::unique_ptr<OrderValidator> left_validator_;
-  std::unique_ptr<OrderValidator> right_validator_;
-
-  std::vector<StateEntry> left_state_;
-  std::vector<StateEntry> right_state_;
-
-  Tuple left_peek_;
-  Interval left_peek_span_;
-  bool left_has_peek_ = false;
-  bool left_done_ = false;
-  Tuple right_peek_;
-  Interval right_peek_span_;
-  bool right_has_peek_ = false;
-  bool right_done_ = false;
-
-  Tuple probe_;
-  Interval probe_span_;
-  bool probe_is_left_ = false;
-  size_t probe_pos_ = 0;
-  bool probing_ = false;
-};
-
-/// The paper's Overlap-join (Section 4.2.4): emits x ++ y whenever the two
-/// lifespans share at least one time point (TQuel `overlap`).
-Result<std::unique_ptr<AllenSweepJoin>> MakeOverlapJoin(
+/// arbitrary masks. The Overlap-join of Section 4.2.4 (TQuel `overlap`) is
+/// this operator with mask = AllenMask::Intersecting(), the default.
+Result<std::unique_ptr<TupleStream>> MakeAllenSweepJoin(
     std::unique_ptr<TupleStream> left, std::unique_ptr<TupleStream> right,
-    TemporalSortOrder order = kByValidFromAsc, JoinNaming naming = {});
+    AllenSweepJoinOptions options = {});
 
 }  // namespace tempus
 

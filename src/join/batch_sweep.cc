@@ -1,5 +1,6 @@
 #include "join/batch_sweep.h"
 
+#include <cmath>
 #include <utility>
 
 namespace tempus {
@@ -36,19 +37,6 @@ Result<bool> BatchReader::FillSlow() {
   }
   // A row is now buffered; the inline fast path peeks it.
   return Fill();
-}
-
-Result<bool> BatchOperator::NextImpl(Tuple* out) {
-  while (adapter_cursor_ >= adapter_batch_.ActiveSize()) {
-    TEMPUS_RETURN_IF_ERROR(adapter_batch_.Reserve(batch_size_));
-    adapter_cursor_ = 0;
-    TEMPUS_ASSIGN_OR_RETURN(const bool more,
-                            ProduceBatch(&adapter_batch_, batch_size_));
-    if (!more) return false;
-  }
-  adapter_batch_.MaterializeRow(
-      adapter_batch_.ActiveIndex(adapter_cursor_++), out);
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -114,6 +102,7 @@ Status BatchPairSweepJoin::OpenImpl() {
   probing_ = false;
   match_idx_.clear();
   match_pos_ = 0;
+  left_reads_ = right_reads_ = 0;
   ResetAdapter();
   if (left_validator_) left_validator_->Reset();
   if (right_validator_) right_validator_->Reset();
@@ -124,9 +113,8 @@ void BatchPairSweepJoin::ScanMatches(const GaplessWorkspace& targets) {
   match_idx_.clear();
   match_pos_ = 0;
   const size_t n = targets.size();
-  // One comparison per live entry, exactly as the tuple operator's probe
-  // loop counts them — scanning the whole state up front just moves the
-  // increments earlier; the per-probe total is identical.
+  // One comparison per live entry: the whole state is scanned up front,
+  // and emission then walks only the matches.
   metrics_.comparisons += n;
   const TimePoint* starts = targets.starts_data();
   const TimePoint* ends = targets.ends_data();
@@ -173,8 +161,8 @@ void BatchPairSweepJoin::ScanMatches(const GaplessWorkspace& targets) {
 void BatchPairSweepJoin::CollectGarbage() {
   ++metrics_.gc_checks;
   // Left (container/X) state. The min-end tracker skips the sweep when no
-  // entry is dead — skipping never retains an entry the tuple operator
-  // would have removed, so the state content stays identical step by step.
+  // entry is dead — a skipped sweep would have removed nothing, so the
+  // state content is the same as under an unconditional sweep.
   if (right_.exhausted()) {
     metrics_.SubWorkspace(left_state_.size());
     left_state_.Clear();
@@ -225,14 +213,47 @@ void BatchPairSweepJoin::CollectGarbage() {
   }
 }
 
+size_t BatchPairSweepJoin::EstimateDisposals(bool read_left) const {
+  // Project the side's head one mean inter-arrival ahead and count the
+  // opposite-state tuples that would become disposable: containees
+  // starting by then (reading X), containers ending by then (reading Y).
+  auto mean_gap = [](double configured, uint64_t reads, TimePoint first,
+                     TimePoint last) {
+    if (configured > 0.0) return configured;
+    if (reads < 2) return 0.0;
+    return static_cast<double>(last - first) /
+           static_cast<double>(reads - 1);
+  };
+  const BatchReader& reader = read_left ? left_ : right_;
+  const TimePoint head = reader.span().start;
+  const double gap =
+      read_left ? mean_gap(spec_.left_mean_interarrival, left_reads_,
+                           left_first_key_, head)
+                : mean_gap(spec_.right_mean_interarrival, right_reads_,
+                           right_first_key_, head);
+  const TimePoint bound = head + static_cast<TimePoint>(std::llround(gap));
+  const GaplessWorkspace& state = read_left ? right_state_ : left_state_;
+  const TimePoint* keys =
+      read_left ? state.starts_data() : state.ends_data();
+  size_t count = 0;
+  for (size_t i = 0; i < state.size(); ++i) {
+    if (keys[i] <= bound) ++count;
+  }
+  return count;
+}
+
 Result<bool> BatchPairSweepJoin::Advance() {
   if (!left_.has_peek() && !left_.done()) {
     TEMPUS_ASSIGN_OR_RETURN(const bool filled, left_.Fill());
-    (void)filled;
+    if (filled && spec_.lambda_heuristic && left_reads_++ == 0) {
+      left_first_key_ = left_.span().start;
+    }
   }
   if (!right_.has_peek() && !right_.done()) {
     TEMPUS_ASSIGN_OR_RETURN(const bool filled, right_.Fill());
-    (void)filled;
+    if (filled && spec_.lambda_heuristic && right_reads_++ == 0) {
+      right_first_key_ = right_.span().start;
+    }
   }
   CollectGarbage();
   if (!left_.has_peek() && !right_.has_peek()) return false;
@@ -244,6 +265,14 @@ Result<bool> BatchPairSweepJoin::Advance() {
     use_left = false;
   } else if (!right_.has_peek()) {
     use_left = true;
+  } else if (spec_.lambda_heuristic) {
+    // Read the side expected to let more state be discarded; ties fall
+    // back to the timestamp sweep.
+    const size_t left_gain = EstimateDisposals(/*read_left=*/true);
+    const size_t right_gain = EstimateDisposals(/*read_left=*/false);
+    use_left = left_gain != right_gain
+                   ? left_gain > right_gain
+                   : left_.span().start <= right_.span().start;
   } else {
     const TimePoint right_key =
         spec_.right_key_by_end ? right_.span().end : right_.span().start;
@@ -498,14 +527,16 @@ BatchSweepContainmentSemijoin::BatchSweepContainmentSemijoin(
     std::unique_ptr<TupleStream> container,
     std::unique_ptr<TupleStream> containee, bool emit_container,
     SweepFrame frame, std::unique_ptr<OrderValidator> container_validator,
-    std::unique_ptr<OrderValidator> containee_validator, size_t batch_size)
+    std::unique_ptr<OrderValidator> containee_validator,
+    bool use_frontier_state, size_t batch_size)
     : BatchOperator(batch_size),
       container_child_(std::move(container)),
       containee_child_(std::move(containee)),
       emit_container_(emit_container),
       frame_(frame),
       container_validator_(std::move(container_validator)),
-      containee_validator_(std::move(containee_validator)) {
+      containee_validator_(std::move(containee_validator)),
+      use_frontier_state_(use_frontier_state) {
   container_.Attach(container_child_.get(), frame_,
                     container_validator_.get(), batch_size_,
                     &metrics_.tuples_read_left);
@@ -519,7 +550,11 @@ Result<std::unique_ptr<TupleStream>> BatchSweepContainmentSemijoin::Create(
     std::unique_ptr<TupleStream> containee, bool emit_container,
     SweepFrame frame, TemporalSortOrder container_order,
     TemporalSortOrder containee_order, bool verify_order,
-    size_t batch_size) {
+    bool use_frontier_state, size_t batch_size) {
+  if (use_frontier_state && emit_container) {
+    return Status::InvalidArgument(
+        "frontier state applies to the containee-emitting sweep semijoin");
+  }
   TEMPUS_ASSIGN_OR_RETURN(LifespanRef container_ref,
                           LifespanRef::ForSchema(container->schema()));
   TEMPUS_ASSIGN_OR_RETURN(LifespanRef containee_ref,
@@ -534,7 +569,7 @@ Result<std::unique_ptr<TupleStream>> BatchSweepContainmentSemijoin::Create(
   }
   return std::unique_ptr<TupleStream>(new BatchSweepContainmentSemijoin(
       std::move(container), std::move(containee), emit_container, frame,
-      std::move(cv), std::move(ev), batch_size));
+      std::move(cv), std::move(ev), use_frontier_state, batch_size));
 }
 
 Status BatchSweepContainmentSemijoin::OpenImpl() {
@@ -544,6 +579,7 @@ Status BatchSweepContainmentSemijoin::OpenImpl() {
   ++metrics_.passes_right;
   pending_.Clear();
   spans_.Clear();
+  frontier_.clear();
   metrics_.ResetWorkspace();
   container_.Reset();
   containee_.Reset();
@@ -579,6 +615,61 @@ bool BatchSweepContainmentSemijoin::PopDecided(TupleBatch* out,
     if (!dead) break;
     pending_.PopFront();
     metrics_.SubWorkspace();
+  }
+  return false;
+}
+
+void BatchSweepContainmentSemijoin::Retain(const Interval& span) {
+  if (!use_frontier_state_) {
+    // Only spans are consulted for witnessing; skip the payload copy.
+    spans_.Insert(Tuple(), span);
+    metrics_.AddWorkspace();
+    return;
+  }
+  // Frontier maintenance: keep only non-dominated containers. Arrivals are
+  // (start, end)-lexicographic, so the new container has the largest
+  // start; it is dominated iff the current largest end (the back) already
+  // covers it, and it dominates only equal-start predecessors.
+  ++metrics_.comparisons;
+  if (!frontier_.empty() && frontier_.back().end >= span.end) return;
+  while (!frontier_.empty() && frontier_.back().start == span.start) {
+    frontier_.pop_back();
+    metrics_.SubWorkspace();
+  }
+  frontier_.push_back(span);
+  metrics_.AddWorkspace();
+}
+
+bool BatchSweepContainmentSemijoin::Witnessed(const Interval& b) {
+  ++metrics_.gc_checks;
+  if (use_frontier_state_) {
+    while (!frontier_.empty() && frontier_.front().end <= b.start) {
+      frontier_.pop_front();
+      metrics_.SubWorkspace();
+    }
+    // Ends increase along the frontier: the best witness among containers
+    // with start < b.start is the last such entry.
+    size_t lo = 0;
+    size_t hi = frontier_.size();
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      ++metrics_.comparisons;
+      if (frontier_[mid].start < b.start) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo > 0 && frontier_[lo - 1].end > b.end;
+  }
+  // The min-end tracker skips the GC sweep when no container is dead.
+  if (spans_.min_end() <= b.start) {
+    metrics_.SubWorkspace(spans_.EraseDead(
+        [&b](TimePoint, TimePoint end) { return end <= b.start; }));
+  }
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    ++metrics_.comparisons;
+    if (spans_.start(i) < b.start && spans_.end(i) > b.end) return true;
   }
   return false;
 }
@@ -634,11 +725,10 @@ Result<bool> BatchSweepContainmentSemijoin::ProduceBatch(TupleBatch* out,
         } else {
           pending_.PushBackCopy(container_.row(), container_.span(), false);
         }
+        metrics_.AddWorkspace();
       } else {
-        // Only spans are consulted for witnessing; skip the payload copy.
-        spans_.Insert(Tuple(), container_.span());
+        Retain(container_.span());
       }
-      metrics_.AddWorkspace();
       container_.Consume();
       continue;
     }
@@ -669,23 +759,7 @@ Result<bool> BatchSweepContainmentSemijoin::ProduceBatch(TupleBatch* out,
       continue;
     }
 
-    // emit-containee mode: first GC dead containers (skipped wholesale
-    // when the min-end tracker proves none is dead), then search for a
-    // witness over the endpoint columns.
-    ++metrics_.gc_checks;
-    if (spans_.min_end() <= b.start) {
-      metrics_.SubWorkspace(spans_.EraseDead(
-          [&b](TimePoint, TimePoint end) { return end <= b.start; }));
-    }
-    bool matched = false;
-    for (size_t i = 0; i < spans_.size(); ++i) {
-      ++metrics_.comparisons;
-      if (spans_.start(i) < b.start && spans_.end(i) > b.end) {
-        matched = true;
-        break;
-      }
-    }
-    if (matched) {
+    if (Witnessed(b)) {
       EmitPeek(&containee_, out);
       ++metrics_.tuples_emitted;
       if (out->size() >= max_rows) return true;
@@ -906,21 +980,11 @@ Result<bool> BatchSweepSelfContain::ProduceBatch(TupleBatch* out,
 }  // namespace internal
 
 // ---------------------------------------------------------------------------
-// Dispatching factories
+// Factories
 
 Result<std::unique_ptr<TupleStream>> MakeContainJoin(
     std::unique_ptr<TupleStream> left, std::unique_ptr<TupleStream> right,
     ContainJoinOptions options) {
-  const bool batch =
-      options.batch_size > 0 &&
-      options.read_policy == ContainJoinReadPolicy::kTimestampSweep;
-  if (!batch) {
-    TEMPUS_ASSIGN_OR_RETURN(
-        auto stream, ContainJoinStream::Create(std::move(left),
-                                               std::move(right),
-                                               std::move(options)));
-    return std::unique_ptr<TupleStream>(std::move(stream));
-  }
   internal::BatchPairSweepJoin::Spec spec;
   spec.contain = true;
   SweepFrame frame;
@@ -945,6 +1009,16 @@ Result<std::unique_ptr<TupleStream>> MakeContainJoin(
         "garbage-collection criteria (Table 1); use NoGcStreamJoin or "
         "re-sort the inputs");
   }
+  if (options.read_policy == ContainJoinReadPolicy::kLambdaHeuristic) {
+    if (spec.right_key_by_end) {
+      return Status::FailedPrecondition(
+          "the lambda read-policy heuristic applies to the (ValidFrom^, "
+          "ValidFrom^) ordering only");
+    }
+    spec.lambda_heuristic = true;
+    spec.left_mean_interarrival = options.left_mean_interarrival;
+    spec.right_mean_interarrival = options.right_mean_interarrival;
+  }
   return internal::BatchPairSweepJoin::Create(
       std::move(left), std::move(right), spec, frame, lo, ro,
       options.verify_input_order, options.naming, options.batch_size,
@@ -954,13 +1028,6 @@ Result<std::unique_ptr<TupleStream>> MakeContainJoin(
 Result<std::unique_ptr<TupleStream>> MakeAllenSweepJoin(
     std::unique_ptr<TupleStream> left, std::unique_ptr<TupleStream> right,
     AllenSweepJoinOptions options) {
-  if (options.batch_size == 0) {
-    TEMPUS_ASSIGN_OR_RETURN(
-        auto stream, AllenSweepJoin::Create(std::move(left),
-                                            std::move(right),
-                                            std::move(options)));
-    return std::unique_ptr<TupleStream>(std::move(stream));
-  }
   if (options.mask.IsEmpty()) {
     return Status::InvalidArgument("sweep join mask is empty");
   }
@@ -987,6 +1054,8 @@ Result<std::unique_ptr<TupleStream>> MakeAllenSweepJoin(
   internal::BatchPairSweepJoin::Spec spec;
   spec.contain = false;
   spec.frame_mask = frame.mirrored ? options.mask.Mirrored() : options.mask;
+  // An x in state survives for future y exactly while some mask relation
+  // can still hold; `meets` is the only one alive at x.end == y.start.
   spec.keep_left_touch = spec.frame_mask.Contains(AllenRelation::kMeets);
   spec.keep_right_touch = spec.frame_mask.Contains(AllenRelation::kMetBy);
   return internal::BatchPairSweepJoin::Create(
@@ -999,12 +1068,6 @@ Result<std::unique_ptr<TupleStream>> MakeAllenSweepJoin(
 Result<std::unique_ptr<TupleStream>> MakeOverlapSemijoin(
     std::unique_ptr<TupleStream> x, std::unique_ptr<TupleStream> y,
     OverlapSemijoinOptions options) {
-  if (options.batch_size == 0) {
-    TEMPUS_ASSIGN_OR_RETURN(
-        auto stream, OverlapSemijoin::Create(std::move(x), std::move(y),
-                                             std::move(options)));
-    return std::unique_ptr<TupleStream>(std::move(stream));
-  }
   return internal::BatchOverlapSemijoin::Create(std::move(x), std::move(y),
                                                 options);
 }

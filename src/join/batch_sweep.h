@@ -1,6 +1,7 @@
 #ifndef TEMPUS_JOIN_BATCH_SWEEP_H_
 #define TEMPUS_JOIN_BATCH_SWEEP_H_
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -11,45 +12,28 @@
 #include "join/join_common.h"
 #include "join/overlap_semijoin.h"
 #include "stream/batch.h"
+#include "stream/batch_operator.h"
 #include "stream/stream.h"
 
 namespace tempus {
 
-/// Batch-at-a-time sweep operators (docs/BATCH.md): the tuple algorithms of
-/// Sections 4.2.1-4.2.4, re-expressed over TupleBatch inputs and outputs.
-/// Each operator consumes its children through NextBatch(), keeps its sweep
-/// state in the columnar workspaces of join_workspace.h, and emits output
-/// batches (zero-copy for semijoins over stable rows). The produced output
-/// set, the promised output order, the GC ledger, and the Table 1-3
-/// workspace bounds are identical to the tuple path — the batch axis of the
-/// differential harness (`tempus_check --sweep --batch=...`) proves it.
-///
-/// The factories below dispatch on `options.batch_size`: 0 builds the
-/// original tuple-at-a-time operator, > 0 the batch implementation (where
-/// one exists for the requested configuration; exotic configurations such
-/// as the lambda read-policy heuristic or frontier state keep the tuple
-/// operator regardless).
-
-/// Contain-join(X, Y): batch dispatch over ContainJoinStream.
-Result<std::unique_ptr<TupleStream>> MakeContainJoin(
-    std::unique_ptr<TupleStream> left, std::unique_ptr<TupleStream> right,
-    ContainJoinOptions options = {});
-
-/// Allen-mask sweep join: batch dispatch over AllenSweepJoin.
-Result<std::unique_ptr<TupleStream>> MakeAllenSweepJoin(
-    std::unique_ptr<TupleStream> left, std::unique_ptr<TupleStream> right,
-    AllenSweepJoinOptions options = {});
-
-/// Overlap-semijoin(X, Y): batch dispatch over OverlapSemijoin.
-Result<std::unique_ptr<TupleStream>> MakeOverlapSemijoin(
-    std::unique_ptr<TupleStream> x, std::unique_ptr<TupleStream> y,
-    OverlapSemijoinOptions options = {});
+/// The Section 4.2.1-4.2.4 sweeps, each implemented once as a batch
+/// operator (docs/BATCH.md). Each consumes its children through
+/// NextBatch(), keeps its sweep state in the columnar workspaces of
+/// batch_workspace.h, and emits output batches (zero-copy for semijoins
+/// over stable rows); tuple-at-a-time consumers pull the same rows through
+/// BatchOperator's row adapter. The public factories (MakeContainJoin,
+/// MakeAllenSweepJoin, MakeOverlapSemijoin, MakeContain[ed]Semijoin,
+/// MakeSelfContain[ed]Semijoin) validate the sort orders and build these
+/// classes; the output is independent of the batch size — the batch axis
+/// of the differential harness (`tempus_check --sweep --batch=...`)
+/// checks every size against batch 1.
 
 namespace internal {
 
 /// Pulls batches from one input and exposes a one-row peek cursor over
-/// them, replicating the tuple operators' peek-buffer protocol with one
-/// virtual call per batch instead of per tuple.
+/// them — the paper's per-stream input buffer — with one virtual call per
+/// batch instead of per tuple.
 ///
 /// Lifetime: the peek row lives in the reader's current input batch. The
 /// batch is only refilled inside Fill() once every buffered row has been
@@ -62,14 +46,14 @@ class BatchReader {
   BatchReader() = default;
 
   /// `reads` is the owning operator's tuples_read_{left,right} counter,
-  /// bumped once per peek filled (matching the tuple path's per-pull
-  /// accounting). `validator` may be null; it is borrowed.
+  /// bumped once per peek filled. `validator` may be null; it is borrowed.
+  /// `batch_size` is the owner's resolved batch size (>= 1).
   void Attach(TupleStream* child, SweepFrame frame, OrderValidator* validator,
               size_t batch_size, uint64_t* reads) {
     child_ = child;
     frame_ = frame;
     validator_ = validator;
-    batch_size_ = batch_size == 0 ? 1 : batch_size;
+    batch_size_ = batch_size;
     reads_ = reads;
   }
 
@@ -111,7 +95,7 @@ class BatchReader {
   bool has_peek() const { return has_peek_; }
   /// Child reported end-of-stream (a peek may still be pending).
   bool done() const { return done_; }
-  /// No peek and none will come — the tuple operators' `done && !has_peek`.
+  /// No peek and none will come.
   bool exhausted() const { return done_ && !has_peek_; }
 
   /// Peek lifespan in sweep coordinates / as recorded in the batch (raw).
@@ -145,47 +129,12 @@ class BatchReader {
   bool done_ = false;
 };
 
-/// Base of the batch operators: NextBatchImpl routes to ProduceBatch(),
-/// and NextImpl adapts tuple-at-a-time consumers by popping rows from an
-/// internally produced batch — so a converted operator serves both
-/// protocols and operators can migrate incrementally.
-class BatchOperator : public TupleStream {
- protected:
-  explicit BatchOperator(size_t batch_size)
-      : batch_size_(batch_size == 0 ? 1 : batch_size) {}
-
-  /// Appends rows to `out` (already reserved and cleared) until `out`
-  /// holds `max_rows` rows or the stream is exhausted. Returns false only
-  /// at end-of-stream with `out` empty. Operator state persists across
-  /// calls, so production may suspend mid-probe at the batch boundary.
-  virtual Result<bool> ProduceBatch(TupleBatch* out, size_t max_rows) = 0;
-
-  Result<bool> NextBatchImpl(TupleBatch* out, size_t max_rows) override {
-    return ProduceBatch(out, max_rows);
-  }
-
-  Result<bool> NextImpl(Tuple* out) override;
-
-  /// Call from OpenImpl(): drops adapter rows left from a previous pass.
-  void ResetAdapter() {
-    adapter_batch_.Clear();
-    adapter_cursor_ = 0;
-  }
-
-  /// Configured batch size (>= 1), also used when pulling children.
-  const size_t batch_size_;
-
- private:
-  TupleBatch adapter_batch_;
-  size_t adapter_cursor_ = 0;
-};
-
-/// Batch form of the two shared-shape pair joins — ContainJoinStream
-/// (strict containment, Section 4.2.1) and AllenSweepJoin (mask sweeps,
-/// Section 4.2.4). Both sides keep a GaplessWorkspace swept with columnar
-/// endpoint predicates; the min-endpoint trackers skip a GC sweep entirely
-/// when nothing can be dead, which never changes the retained state (a
-/// skipped sweep would have removed zero entries).
+/// The two shared-shape pair joins: the Contain-join (strict containment,
+/// Section 4.2.1) and the Allen-mask sweep join (Section 4.2.4). Both
+/// sides keep a GaplessWorkspace swept with columnar endpoint predicates;
+/// the min-endpoint trackers skip a GC sweep entirely when nothing can be
+/// dead, which never changes the retained state (a skipped sweep would
+/// have removed zero entries).
 class BatchPairSweepJoin final : public BatchOperator {
  public:
   /// Behavioral switches resolved by the factories.
@@ -199,6 +148,12 @@ class BatchPairSweepJoin final : public BatchOperator {
     AllenMask frame_mask{};
     bool keep_left_touch = false;
     bool keep_right_touch = false;
+    /// Contain-join read phase under the paper's 1/lambda disposal
+    /// heuristic (kLambdaHeuristic; both inputs keyed by start only), with
+    /// the configured mean inter-arrival estimates (<= 0: online).
+    bool lambda_heuristic = false;
+    double left_mean_interarrival = 0.0;
+    double right_mean_interarrival = 0.0;
   };
 
   static Result<std::unique_ptr<TupleStream>> Create(
@@ -228,6 +183,10 @@ class BatchPairSweepJoin final : public BatchOperator {
   void CollectGarbage();
   Result<bool> Advance();
   void ScanMatches(const GaplessWorkspace& targets);
+  /// Opposite-state tuples that reading the given side next would make
+  /// disposable, projecting its head one mean inter-arrival ahead (the
+  /// lambda heuristic's score, Section 4.2.1 read phase).
+  size_t EstimateDisposals(bool read_left) const;
 
   std::unique_ptr<TupleStream> left_child_;
   std::unique_ptr<TupleStream> right_child_;
@@ -259,10 +218,17 @@ class BatchPairSweepJoin final : public BatchOperator {
   // match_pos_ when a full output batch pauses the probe mid-emission.
   std::vector<uint32_t> match_idx_;
   size_t match_pos_ = 0;
+
+  // Online inter-arrival estimation for the lambda heuristic: peeks read
+  // per side and the sweep key of each side's first peek.
+  uint64_t left_reads_ = 0;
+  uint64_t right_reads_ = 0;
+  TimePoint left_first_key_ = 0;
+  TimePoint right_first_key_ = 0;
 };
 
-/// Batch form of OverlapSemijoin: two peek readers, zero workspace, X rows
-/// emitted in input order (zero-copy when stable).
+/// Overlap-semijoin (Section 4.2.4): two peek readers, zero workspace, X
+/// rows emitted in input order (zero-copy when stable).
 class BatchOverlapSemijoin final : public BatchOperator {
  public:
   static Result<std::unique_ptr<TupleStream>> Create(
@@ -294,9 +260,10 @@ class BatchOverlapSemijoin final : public BatchOperator {
   BatchReader y_;
 };
 
-/// Batch form of TwoBufferContainmentSemijoin (Section 4.2.2): the
-/// workspace is exactly the two peeks, emission order follows the emitted
-/// stream's input order.
+/// The paper's two-buffer containment semijoin (Section 4.2.2): containers
+/// keyed by ValidFrom ascending and containees by ValidTo ascending (in
+/// sweep coordinates); the workspace is exactly the two peeks, emission
+/// order follows the emitted stream's input order.
 class BatchTwoBufferContainmentSemijoin final : public BatchOperator {
  public:
   static Result<std::unique_ptr<TupleStream>> Create(
@@ -336,19 +303,24 @@ class BatchTwoBufferContainmentSemijoin final : public BatchOperator {
   BatchReader containee_;
 };
 
-/// Batch form of SweepContainmentSemijoin (non-frontier states only; the
-/// frontier extension keeps the tuple operator). emit-container mode holds
-/// pending containers in a LazyDeletionQueue (FIFO, matched flags, emitted
-/// in input order); emit-containee mode holds witness spans in a
-/// GaplessWorkspace. Both preserve the dead-on-arrival discard.
+/// The sweep containment semijoin for inputs both keyed by ValidFrom
+/// ascending (in sweep coordinates): state is bounded by the containers
+/// spanning the sweep position — characterization (c) of Table 1.
+/// emit-container mode holds pending containers in a LazyDeletionQueue
+/// (FIFO, matched flags, emitted in input order); emit-containee mode
+/// holds witness spans in a GaplessWorkspace, or — with the frontier
+/// extension (not in the paper) — only the Pareto staircase of
+/// non-dominated container spans, searched by binary search. Every mode
+/// discards containers that are dead on arrival.
 class BatchSweepContainmentSemijoin final : public BatchOperator {
  public:
+  /// `use_frontier_state` applies to the containee-emitting mode only.
   static Result<std::unique_ptr<TupleStream>> Create(
       std::unique_ptr<TupleStream> container,
       std::unique_ptr<TupleStream> containee, bool emit_container,
       SweepFrame frame, TemporalSortOrder container_order,
       TemporalSortOrder containee_order, bool verify_order,
-      size_t batch_size);
+      bool use_frontier_state, size_t batch_size);
 
   const Schema& schema() const override {
     return emit_container_ ? container_child_->schema()
@@ -368,11 +340,16 @@ class BatchSweepContainmentSemijoin final : public BatchOperator {
       std::unique_ptr<TupleStream> containee, bool emit_container,
       SweepFrame frame, std::unique_ptr<OrderValidator> container_validator,
       std::unique_ptr<OrderValidator> containee_validator,
-      size_t batch_size);
+      bool use_frontier_state, size_t batch_size);
 
   /// emit-container mode: emits matched fronts and drops dead ones;
   /// returns true when `out` reached `max_rows` (resume on the next call).
   bool PopDecided(TupleBatch* out, size_t max_rows);
+  /// emit-containee mode: retains a container span for witnessing.
+  void Retain(const Interval& span);
+  /// emit-containee mode: drops containers dead at the containee `b`'s
+  /// start, then reports whether a retained container strictly contains b.
+  bool Witnessed(const Interval& b);
 
   std::unique_ptr<TupleStream> container_child_;
   std::unique_ptr<TupleStream> containee_child_;
@@ -382,11 +359,16 @@ class BatchSweepContainmentSemijoin final : public BatchOperator {
   std::unique_ptr<OrderValidator> containee_validator_;
   BatchReader container_;
   BatchReader containee_;
+  bool use_frontier_state_;
   LazyDeletionQueue pending_;  // emit-container mode.
   GaplessWorkspace spans_;     // emit-containee mode (spans only).
+  // emit-containee mode with the frontier extension: the non-dominated
+  // container spans, starts and ends both increasing front to back.
+  std::deque<Interval> frontier_;
 };
 
-/// Batch form of SingleStateSelfContained (Section 4.2.3): one state span.
+/// Single-state Contained-semijoin(X,X) (Section 4.2.3), input keyed
+/// (start^, end^) in sweep coordinates: one state span.
 class BatchSingleStateSelfContained final : public BatchOperator {
  public:
   BatchSingleStateSelfContained(std::unique_ptr<TupleStream> x,
@@ -412,7 +394,8 @@ class BatchSingleStateSelfContained final : public BatchOperator {
   bool state_valid_ = false;
 };
 
-/// Batch form of SingleStateSelfContain: running minimum-end witness.
+/// Single-state Contain-semijoin(X,X), input keyed (start v, end v) in
+/// sweep coordinates: the state is the running minimum-end span.
 class BatchSingleStateSelfContain final : public BatchOperator {
  public:
   BatchSingleStateSelfContain(std::unique_ptr<TupleStream> x,
@@ -438,8 +421,9 @@ class BatchSingleStateSelfContain final : public BatchOperator {
   bool state_valid_ = false;
 };
 
-/// Batch form of SweepSelfContain (Table 3 row 1 (b)): pending queue with
-/// matched flags, containers emitted in input order.
+/// Pending-queue Contain-semijoin(X,X) for the start^ order (Table 3 row 1
+/// (b)): pending queue with matched flags, containers emitted in input
+/// order.
 class BatchSweepSelfContain final : public BatchOperator {
  public:
   BatchSweepSelfContain(std::unique_ptr<TupleStream> x, SweepFrame frame,

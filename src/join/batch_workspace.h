@@ -13,22 +13,20 @@
 
 namespace tempus {
 
-/// Workspace structures for the batch sweep operators (docs/BATCH.md),
-/// replacing the node-based containers of the tuple-at-a-time path with the
-/// cache-dense layouts of Piatov et al.: endpoint columns scanned
+/// Workspace structures for the batch sweep operators (docs/BATCH.md), in
+/// the cache-dense layouts of Piatov et al.: endpoint columns scanned
 /// contiguously, payload rows touched only on match.
 ///
-/// Both structures preserve the tuple path's GC-ledger accounting hooks
-/// (the operator calls AddWorkspace/SubWorkspace around Insert/EraseDead)
-/// and its state-content invariant: an entry is removed exactly when the
-/// tuple operator would have removed it, so the Table 1-3 workspace bounds
-/// instantiate identically.
+/// The owning operator calls AddWorkspace/SubWorkspace around
+/// Insert/EraseDead, so the GC ledger balances, and an entry is removed
+/// exactly when the paper's garbage-collection rule makes it dead, so the
+/// Table 1-3 workspace bounds instantiate exactly.
 
 /// Append-ordered sweep state with struct-of-arrays endpoints and stable
 /// compaction. The min-endpoint trackers let the owner skip a GC sweep
 /// entirely when no entry can be dead under the current bound — the sweep
 /// then costs O(1) instead of O(live) without ever holding a dead entry
-/// past the point the tuple path would have discarded it.
+/// past the point the GC rule discards it.
 class GaplessWorkspace {
  public:
   size_t size() const { return ptrs_.size(); }
@@ -69,8 +67,8 @@ class GaplessWorkspace {
   }
 
   /// Removes every entry for which `dead(start, end)` holds, preserving
-  /// the insertion order of survivors (so probe emission order matches the
-  /// tuple path's std::vector compaction); owned slots of the dead return
+  /// the insertion order of survivors (so probe emission order is
+  /// insertion order); owned slots of the dead return
   /// to the recycling pool. Returns the number removed and recomputes the
   /// min trackers.
   template <typename Dead>

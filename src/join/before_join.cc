@@ -10,7 +10,8 @@ BeforeJoinStream::BeforeJoinStream(std::unique_ptr<TupleStream> left,
                                    BeforeJoinOptions options, Schema schema,
                                    LifespanRef left_ref,
                                    LifespanRef right_ref)
-    : left_(std::move(left)),
+    : BatchOperator(options.batch_size),
+      left_(std::move(left)),
       right_(std::move(right)),
       options_(std::move(options)),
       schema_(std::move(schema)),
@@ -51,26 +52,15 @@ Status BeforeJoinStream::OpenImpl() {
     metrics_.AddWorkspace();
     return Status::Ok();
   };
-  if (options_.batch_size > 0) {
-    TupleBatch scratch;
-    while (true) {
-      TEMPUS_ASSIGN_OR_RETURN(
-          bool more, right_->NextBatch(&scratch, options_.batch_size));
-      if (!more) break;
-      for (size_t i = 0; i < scratch.ActiveSize(); ++i) {
-        const Tuple& row = scratch.row(scratch.ActiveIndex(i));
-        TEMPUS_RETURN_IF_ERROR(check_inner(row));
-        inner_.push_back(row);
-      }
-    }
-  } else {
-    Tuple t;
-    while (true) {
-      TEMPUS_ASSIGN_OR_RETURN(bool has, right_->Next(&t));
-      if (!has) break;
-      TEMPUS_RETURN_IF_ERROR(check_inner(t));
-      inner_.push_back(std::move(t));
-      t = Tuple();
+  TupleBatch scratch;
+  while (true) {
+    TEMPUS_ASSIGN_OR_RETURN(bool more,
+                            right_->NextBatch(&scratch, batch_size_));
+    if (!more) break;
+    for (size_t i = 0; i < scratch.ActiveSize(); ++i) {
+      const Tuple& row = scratch.row(scratch.ActiveIndex(i));
+      TEMPUS_RETURN_IF_ERROR(check_inner(row));
+      inner_.push_back(row);
     }
   }
   if (!options_.right_presorted) {
@@ -96,6 +86,7 @@ Status BeforeJoinStream::OpenImpl() {
   have_left_ = false;
   left_batch_.Clear();
   left_cursor_ = 0;
+  ResetAdapter();
   return Status::Ok();
 }
 
@@ -114,33 +105,14 @@ void BeforeJoinStream::StartRun() {
   have_left_ = true;
 }
 
-Result<bool> BeforeJoinStream::NextImpl(Tuple* out) {
-  while (true) {
-    if (!have_left_) {
-      TEMPUS_ASSIGN_OR_RETURN(bool has, left_->Next(&current_left_));
-      if (!has) return false;
-      StartRun();
-    }
-    if (inner_pos_ < inner_.size()) {
-      *out = Tuple::Concat(current_left_, inner_[inner_pos_++]);
-      ++metrics_.tuples_emitted;
-      return true;
-    }
-    have_left_ = false;
-  }
-}
-
-Result<bool> BeforeJoinStream::NextBatchImpl(TupleBatch* out,
-                                             size_t max_rows) {
-  if (options_.batch_size == 0) {
-    return TupleStream::NextBatchImpl(out, max_rows);
-  }
+Result<bool> BeforeJoinStream::ProduceBatch(TupleBatch* out,
+                                            size_t max_rows) {
   const LifespanRef* lifespan = BatchLifespan();
   while (out->size() < max_rows) {
     if (!have_left_) {
       if (left_cursor_ >= left_batch_.ActiveSize()) {
-        TEMPUS_ASSIGN_OR_RETURN(
-            bool more, left_->NextBatch(&left_batch_, options_.batch_size));
+        TEMPUS_ASSIGN_OR_RETURN(bool more,
+                                left_->NextBatch(&left_batch_, batch_size_));
         left_cursor_ = 0;
         if (!more) break;
         if (left_batch_.ActiveSize() == 0) continue;
@@ -166,11 +138,11 @@ BeforeSemijoin::BeforeSemijoin(std::unique_ptr<TupleStream> x,
                                std::unique_ptr<TupleStream> y,
                                LifespanRef x_ref, LifespanRef y_ref,
                                size_t batch_size)
-    : x_(std::move(x)),
+    : BatchOperator(batch_size),
+      x_(std::move(x)),
       y_(std::move(y)),
       x_ref_(x_ref),
-      y_ref_(y_ref),
-      batch_size_(batch_size) {}
+      y_ref_(y_ref) {}
 
 Result<std::unique_ptr<BeforeSemijoin>> BeforeSemijoin::Create(
     std::unique_ptr<TupleStream> x, std::unique_ptr<TupleStream> y,
@@ -188,26 +160,14 @@ Status BeforeSemijoin::OpenImpl() {
   ++metrics_.passes_right;
   max_y_from_ = kMinTime;
   y_empty_ = true;
-  if (batch_size_ > 0) {
-    TupleBatch scratch;
-    while (true) {
-      TEMPUS_ASSIGN_OR_RETURN(bool more,
-                              y_->NextBatch(&scratch, batch_size_));
-      if (!more) break;
-      for (size_t i = 0; i < scratch.ActiveSize(); ++i) {
-        ++metrics_.tuples_read_right;
-        max_y_from_ = std::max(
-            max_y_from_, y_ref_.Of(scratch.row(scratch.ActiveIndex(i))).start);
-        y_empty_ = false;
-      }
-    }
-  } else {
-    Tuple t;
-    while (true) {
-      TEMPUS_ASSIGN_OR_RETURN(bool has, y_->Next(&t));
-      if (!has) break;
+  TupleBatch scratch;
+  while (true) {
+    TEMPUS_ASSIGN_OR_RETURN(bool more, y_->NextBatch(&scratch, batch_size_));
+    if (!more) break;
+    for (size_t i = 0; i < scratch.ActiveSize(); ++i) {
       ++metrics_.tuples_read_right;
-      max_y_from_ = std::max(max_y_from_, y_ref_.Of(t).start);
+      max_y_from_ = std::max(
+          max_y_from_, y_ref_.Of(scratch.row(scratch.ActiveIndex(i))).start);
       y_empty_ = false;
     }
   }
@@ -215,25 +175,11 @@ Status BeforeSemijoin::OpenImpl() {
   ++metrics_.passes_left;
   x_batch_.Clear();
   x_cursor_ = 0;
+  ResetAdapter();
   return Status::Ok();
 }
 
-Result<bool> BeforeSemijoin::NextImpl(Tuple* out) {
-  if (y_empty_) return false;
-  while (true) {
-    TEMPUS_ASSIGN_OR_RETURN(bool has, x_->Next(out));
-    if (!has) return false;
-    ++metrics_.tuples_read_left;
-    ++metrics_.comparisons;
-    if (x_ref_.Of(*out).end < max_y_from_) {
-      ++metrics_.tuples_emitted;
-      return true;
-    }
-  }
-}
-
-Result<bool> BeforeSemijoin::NextBatchImpl(TupleBatch* out, size_t max_rows) {
-  if (batch_size_ == 0) return TupleStream::NextBatchImpl(out, max_rows);
+Result<bool> BeforeSemijoin::ProduceBatch(TupleBatch* out, size_t max_rows) {
   if (y_empty_) return false;
   while (out->size() < max_rows) {
     if (x_cursor_ >= x_batch_.ActiveSize()) {

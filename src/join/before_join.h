@@ -7,6 +7,7 @@
 #include "common/interval.h"
 #include "join/join_common.h"
 #include "stream/batch.h"
+#include "stream/batch_operator.h"
 #include "stream/stream.h"
 
 namespace tempus {
@@ -17,10 +18,7 @@ struct BeforeJoinOptions {
   bool right_presorted = false;
   bool verify_input_order = true;
   JoinNaming naming;
-  /// 0 keeps the tuple-at-a-time protocol (NextBatch() falls back to the
-  /// per-row adapter); > 0 makes NextBatch() native — the inner buffers
-  /// through child batches and each outer batch binary-searches and emits
-  /// its runs straight into the output batch's recycled slots.
+  /// Rows per child batch (docs/BATCH.md); 0 means DefaultBatchSize().
   size_t batch_size = 0;
 };
 
@@ -32,9 +30,10 @@ struct BeforeJoinOptions {
 /// that "with proper sort orders, nested-loop join can avoid scanning the
 /// inner relation in its entirety". This operator is that refinement: the
 /// inner (right) relation is buffered sorted by ValidFrom; each outer
-/// tuple binary-searches its first match and emits the tail run. The
-/// buffered inner relation is reported as workspace.
-class BeforeJoinStream : public TupleStream {
+/// tuple binary-searches its first match and emits the tail run straight
+/// into the output batch's recycled slots. The buffered inner relation is
+/// reported as workspace.
+class BeforeJoinStream final : public BatchOperator {
  public:
   static Result<std::unique_ptr<BeforeJoinStream>> Create(
       std::unique_ptr<TupleStream> left, std::unique_ptr<TupleStream> right,
@@ -42,11 +41,12 @@ class BeforeJoinStream : public TupleStream {
 
   const Schema& schema() const override { return schema_; }
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  Result<bool> NextBatchImpl(TupleBatch* out, size_t max_rows) override;
   std::vector<const TupleStream*> children() const override {
     return {left_.get(), right_.get()};
   }
+
+ protected:
+  Result<bool> ProduceBatch(TupleBatch* out, size_t max_rows) override;
 
  private:
   BeforeJoinStream(std::unique_ptr<TupleStream> left,
@@ -54,8 +54,7 @@ class BeforeJoinStream : public TupleStream {
                    BeforeJoinOptions options, Schema schema,
                    LifespanRef left_ref, LifespanRef right_ref);
 
-  /// Positions current_left_ on the next outer row and binary-searches its
-  /// run start; shared by both protocols (`has` is the pull result).
+  /// Binary-searches the run start of the outer row in current_left_.
   void StartRun();
 
   std::unique_ptr<TupleStream> left_;
@@ -71,7 +70,7 @@ class BeforeJoinStream : public TupleStream {
   bool have_left_ = false;
   size_t inner_pos_ = 0;
 
-  TupleBatch left_batch_;   // Batch-path scratch for outer rows.
+  TupleBatch left_batch_;   // Scratch for outer rows.
   size_t left_cursor_ = 0;  // Next unconsumed active index in left_batch_.
 };
 
@@ -79,21 +78,22 @@ class BeforeJoinStream : public TupleStream {
 /// As the paper notes, this "scans both operand relations only once and is
 /// independent of any sort orderings": one pass over Y computes
 /// max(Y.ValidFrom); one pass over X emits every x ending before it.
-class BeforeSemijoin : public TupleStream {
+class BeforeSemijoin final : public BatchOperator {
  public:
-  /// `batch_size` 0 keeps the tuple protocol; > 0 makes NextBatch() native
-  /// (X rows forwarded zero-copy when stable, Y scanned in batches).
+  /// X rows are forwarded zero-copy when stable; both inputs are scanned
+  /// in batches of `batch_size` rows (0 means DefaultBatchSize()).
   static Result<std::unique_ptr<BeforeSemijoin>> Create(
       std::unique_ptr<TupleStream> x, std::unique_ptr<TupleStream> y,
       size_t batch_size = 0);
 
   const Schema& schema() const override { return x_->schema(); }
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  Result<bool> NextBatchImpl(TupleBatch* out, size_t max_rows) override;
   std::vector<const TupleStream*> children() const override {
     return {x_.get(), y_.get()};
   }
+
+ protected:
+  Result<bool> ProduceBatch(TupleBatch* out, size_t max_rows) override;
 
  private:
   BeforeSemijoin(std::unique_ptr<TupleStream> x,
@@ -104,11 +104,10 @@ class BeforeSemijoin : public TupleStream {
   std::unique_ptr<TupleStream> y_;
   LifespanRef x_ref_;
   LifespanRef y_ref_;
-  size_t batch_size_;
   TimePoint max_y_from_ = kMinTime;
   bool y_empty_ = true;
 
-  TupleBatch x_batch_;   // Batch-path scratch for X rows.
+  TupleBatch x_batch_;   // Scratch for X rows.
   size_t x_cursor_ = 0;  // Next unconsumed active index in x_batch_.
 };
 

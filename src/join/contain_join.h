@@ -2,7 +2,6 @@
 #define TEMPUS_JOIN_CONTAIN_JOIN_H_
 
 #include <memory>
-#include <vector>
 
 #include "join/join_common.h"
 #include "stream/stream.h"
@@ -42,8 +41,7 @@ struct ContainJoinOptions {
   /// Verify the promised orders while streaming; violations fail the run.
   bool verify_input_order = true;
   JoinNaming naming;
-  /// > 0 selects the batch-at-a-time implementation with this batch size
-  /// (docs/BATCH.md; kTimestampSweep only); 0 keeps the tuple operator.
+  /// Rows per batch (docs/BATCH.md); 0 means DefaultBatchSize().
   size_t batch_size = 0;
 };
 
@@ -55,89 +53,12 @@ struct ContainJoinOptions {
 ///       plus (under the lambda policy) Y tuples read ahead.
 ///   (ValidFrom^, ValidTo^):   X tuples spanning the current Y ValidTo,
 ///       plus Y tuples contained in the current X lifespan.
-/// Note Contain-join(X,Y) and Contain-join(Y,X) are not equivalent.
-class ContainJoinStream : public TupleStream {
- public:
-  /// Fails with FailedPrecondition for unsupported order combinations
-  /// ("the sort ordering is not appropriate for stream processing").
-  static Result<std::unique_ptr<ContainJoinStream>> Create(
-      std::unique_ptr<TupleStream> left, std::unique_ptr<TupleStream> right,
-      ContainJoinOptions options = {});
-
-  const Schema& schema() const override { return schema_; }
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  std::vector<const TupleStream*> children() const override {
-    return {left_.get(), right_.get()};
-  }
-
- private:
-  /// Which endpoint keys the containee stream in sweep coordinates.
-  enum class Mode { kBothByStart, kContaineeByEnd };
-
-  struct StateEntry {
-    Tuple tuple;
-    Interval span;  // In sweep coordinates.
-  };
-
-  ContainJoinStream(std::unique_ptr<TupleStream> left,
-                    std::unique_ptr<TupleStream> right,
-                    ContainJoinOptions options, Mode mode, SweepFrame frame,
-                    Schema schema, LifespanRef left_ref,
-                    LifespanRef right_ref);
-
-  /// Refills the peek buffer for one side; records pass/read metrics.
-  Result<bool> FillPeek(bool left_side);
-
-  /// Applies the garbage-collection rules against the current peeks.
-  void CollectGarbage();
-
-  /// Chooses a side per the read policy, consumes its peek into the probe,
-  /// and adds it to its state. Returns false when fully drained.
-  Result<bool> Advance();
-
-  /// Estimated state tuples freed by reading the given side next
-  /// (the lambda heuristic's scoring function).
-  size_t EstimateDisposals(bool read_left) const;
-
-  std::unique_ptr<TupleStream> left_;
-  std::unique_ptr<TupleStream> right_;
-  ContainJoinOptions options_;
-  Mode mode_;
-  SweepFrame frame_;
-  Schema schema_;
-  LifespanRef left_ref_;
-  LifespanRef right_ref_;
-
-  std::vector<StateEntry> left_state_;
-  std::vector<StateEntry> right_state_;
-
-  // Peek buffers (the paper's <Buffer-x, Buffer-y>).
-  Tuple left_peek_;
-  Interval left_peek_span_;
-  bool left_has_peek_ = false;
-  bool left_done_ = false;
-  Tuple right_peek_;
-  Interval right_peek_span_;
-  bool right_has_peek_ = false;
-  bool right_done_ = false;
-
-  // Probe cursor: the most recently read tuple vs the opposite state.
-  Tuple probe_;
-  Interval probe_span_;
-  bool probe_is_left_ = false;
-  size_t probe_pos_ = 0;
-  bool probing_ = false;
-
-  // Online inter-arrival estimation for the lambda policy.
-  uint64_t left_reads_ = 0;
-  uint64_t right_reads_ = 0;
-  TimePoint left_first_key_ = 0;
-  TimePoint right_first_key_ = 0;
-
-  std::unique_ptr<OrderValidator> left_validator_;
-  std::unique_ptr<OrderValidator> right_validator_;
-};
+/// Note Contain-join(X,Y) and Contain-join(Y,X) are not equivalent. Fails
+/// with FailedPrecondition for unsupported order combinations ("the sort
+/// ordering is not appropriate for stream processing").
+Result<std::unique_ptr<TupleStream>> MakeContainJoin(
+    std::unique_ptr<TupleStream> left, std::unique_ptr<TupleStream> right,
+    ContainJoinOptions options = {});
 
 }  // namespace tempus
 

@@ -1,476 +1,39 @@
 #include "join/containment_semijoin.h"
 
-#include <algorithm>
-
 #include "join/batch_sweep.h"
 
 namespace tempus {
-namespace internal {
-
-TwoBufferContainmentSemijoin::TwoBufferContainmentSemijoin(
-    std::unique_ptr<TupleStream> container,
-    std::unique_ptr<TupleStream> containee, bool emit_container,
-    SweepFrame frame, LifespanRef container_ref, LifespanRef containee_ref)
-    : container_(std::move(container)),
-      containee_(std::move(containee)),
-      emit_container_(emit_container),
-      frame_(frame),
-      container_ref_(container_ref),
-      containee_ref_(containee_ref) {}
-
-Result<std::unique_ptr<TwoBufferContainmentSemijoin>>
-TwoBufferContainmentSemijoin::Create(std::unique_ptr<TupleStream> container,
-                                     std::unique_ptr<TupleStream> containee,
-                                     bool emit_container, SweepFrame frame,
-                                     TemporalSortOrder container_order,
-                                     TemporalSortOrder containee_order,
-                                     bool verify_order) {
-  TEMPUS_ASSIGN_OR_RETURN(LifespanRef container_ref,
-                          LifespanRef::ForSchema(container->schema()));
-  TEMPUS_ASSIGN_OR_RETURN(LifespanRef containee_ref,
-                          LifespanRef::ForSchema(containee->schema()));
-  auto stream = std::unique_ptr<TwoBufferContainmentSemijoin>(
-      new TwoBufferContainmentSemijoin(std::move(container),
-                                       std::move(containee), emit_container,
-                                       frame, container_ref, containee_ref));
-  if (verify_order) {
-    stream->container_validator_ = std::make_unique<OrderValidator>(
-        container_ref, container_order, "containment semijoin container");
-    stream->containee_validator_ = std::make_unique<OrderValidator>(
-        containee_ref, containee_order, "containment semijoin containee");
-  }
-  return stream;
-}
-
-Status TwoBufferContainmentSemijoin::OpenImpl() {
-  TEMPUS_RETURN_IF_ERROR(container_->Open());
-  TEMPUS_RETURN_IF_ERROR(containee_->Open());
-  ++metrics_.passes_left;
-  ++metrics_.passes_right;
-  container_valid_ = containee_valid_ = false;
-  container_done_ = containee_done_ = false;
-  if (container_validator_) container_validator_->Reset();
-  if (containee_validator_) containee_validator_->Reset();
-  return Status::Ok();
-}
-
-Result<bool> TwoBufferContainmentSemijoin::FillContainer() {
-  TEMPUS_ASSIGN_OR_RETURN(bool has, container_->Next(&container_buf_));
-  if (!has) {
-    container_done_ = true;
-    return false;
-  }
-  if (container_validator_) {
-    TEMPUS_RETURN_IF_ERROR(container_validator_->Check(container_buf_));
-  }
-  container_span_ = frame_.Map(container_ref_.Of(container_buf_));
-  container_valid_ = true;
-  ++metrics_.tuples_read_left;
-  return true;
-}
-
-Result<bool> TwoBufferContainmentSemijoin::FillContainee() {
-  TEMPUS_ASSIGN_OR_RETURN(bool has, containee_->Next(&containee_buf_));
-  if (!has) {
-    containee_done_ = true;
-    return false;
-  }
-  if (containee_validator_) {
-    TEMPUS_RETURN_IF_ERROR(containee_validator_->Check(containee_buf_));
-  }
-  containee_span_ = frame_.Map(containee_ref_.Of(containee_buf_));
-  containee_valid_ = true;
-  ++metrics_.tuples_read_right;
-  return true;
-}
-
-Result<bool> TwoBufferContainmentSemijoin::NextImpl(Tuple* out) {
-  // Section 4.2.2, in sweep coordinates: containers arrive by ValidFrom
-  // ascending, containees by ValidTo ascending. One buffered tuple per
-  // stream is the entire workspace.
-  while (true) {
-    if (!container_valid_) {
-      if (container_done_) return false;
-      TEMPUS_ASSIGN_OR_RETURN(bool has, FillContainer());
-      // Containees cannot match once containers are exhausted (and every
-      // emitted containee was emitted as soon as it matched).
-      if (!has) return false;
-    }
-    if (!containee_valid_) {
-      if (containee_done_) return false;
-      TEMPUS_ASSIGN_OR_RETURN(bool has, FillContainee());
-      if (!has) return false;
-    }
-    ++metrics_.comparisons;
-    if (containee_span_.end >= container_span_.end) {
-      // No containee ends inside the current container anymore (future
-      // containees end even later): advance the container, retain the
-      // containee buffer.
-      container_valid_ = false;
-      continue;
-    }
-    if (container_span_.start < containee_span_.start) {
-      // Strict containment holds.
-      if (emit_container_) {
-        *out = container_buf_;
-        container_valid_ = false;  // Each container is emitted once.
-      } else {
-        *out = containee_buf_;
-        containee_valid_ = false;  // Each containee is emitted once.
-      }
-      ++metrics_.tuples_emitted;
-      return true;
-    }
-    // containee.start <= container.start: no current or future container
-    // (starts are nondecreasing) can strictly contain it -- discard.
-    containee_valid_ = false;
-  }
-}
-
-SweepContainmentSemijoin::SweepContainmentSemijoin(
-    std::unique_ptr<TupleStream> container,
-    std::unique_ptr<TupleStream> containee, bool emit_container,
-    SweepFrame frame, LifespanRef container_ref, LifespanRef containee_ref,
-    bool use_frontier_state)
-    : container_(std::move(container)),
-      containee_(std::move(containee)),
-      emit_container_(emit_container),
-      frame_(frame),
-      container_ref_(container_ref),
-      containee_ref_(containee_ref),
-      use_frontier_state_(use_frontier_state) {}
-
-Result<std::unique_ptr<SweepContainmentSemijoin>>
-SweepContainmentSemijoin::Create(std::unique_ptr<TupleStream> container,
-                                 std::unique_ptr<TupleStream> containee,
-                                 bool emit_container, SweepFrame frame,
-                                 TemporalSortOrder container_order,
-                                 TemporalSortOrder containee_order,
-                                 bool verify_order, bool use_frontier_state) {
-  if (use_frontier_state && emit_container) {
-    return Status::InvalidArgument(
-        "frontier state applies to the containee-emitting sweep semijoin");
-  }
-  TEMPUS_ASSIGN_OR_RETURN(LifespanRef container_ref,
-                          LifespanRef::ForSchema(container->schema()));
-  TEMPUS_ASSIGN_OR_RETURN(LifespanRef containee_ref,
-                          LifespanRef::ForSchema(containee->schema()));
-  auto stream = std::unique_ptr<SweepContainmentSemijoin>(
-      new SweepContainmentSemijoin(
-          std::move(container), std::move(containee), emit_container, frame,
-          container_ref, containee_ref, use_frontier_state));
-  if (verify_order) {
-    stream->container_validator_ = std::make_unique<OrderValidator>(
-        container_ref, container_order, "sweep semijoin container");
-    stream->containee_validator_ = std::make_unique<OrderValidator>(
-        containee_ref, containee_order, "sweep semijoin containee");
-  }
-  return stream;
-}
-
-Status SweepContainmentSemijoin::OpenImpl() {
-  TEMPUS_RETURN_IF_ERROR(container_->Open());
-  TEMPUS_RETURN_IF_ERROR(containee_->Open());
-  ++metrics_.passes_left;
-  ++metrics_.passes_right;
-  state_.clear();
-  metrics_.ResetWorkspace();
-  container_has_peek_ = containee_has_peek_ = false;
-  container_done_ = containee_done_ = false;
-  if (container_validator_) container_validator_->Reset();
-  if (containee_validator_) containee_validator_->Reset();
-  return Status::Ok();
-}
-
-Result<bool> SweepContainmentSemijoin::FillContainer() {
-  TEMPUS_ASSIGN_OR_RETURN(bool has, container_->Next(&container_peek_));
-  if (!has) {
-    container_done_ = true;
-    return false;
-  }
-  if (container_validator_) {
-    TEMPUS_RETURN_IF_ERROR(container_validator_->Check(container_peek_));
-  }
-  container_peek_span_ = frame_.Map(container_ref_.Of(container_peek_));
-  container_has_peek_ = true;
-  ++metrics_.tuples_read_left;
-  return true;
-}
-
-Result<bool> SweepContainmentSemijoin::FillContainee() {
-  TEMPUS_ASSIGN_OR_RETURN(bool has, containee_->Next(&containee_peek_));
-  if (!has) {
-    containee_done_ = true;
-    return false;
-  }
-  if (containee_validator_) {
-    TEMPUS_RETURN_IF_ERROR(containee_validator_->Check(containee_peek_));
-  }
-  containee_peek_span_ = frame_.Map(containee_ref_.Of(containee_peek_));
-  containee_has_peek_ = true;
-  ++metrics_.tuples_read_right;
-  return true;
-}
-
-bool SweepContainmentSemijoin::PopDecided(Tuple* out) {
-  if (!state_.empty()) ++metrics_.gc_checks;
-  while (!state_.empty()) {
-    PendingContainer& front = state_.front();
-    if (front.matched) {
-      *out = std::move(front.tuple);
-      state_.pop_front();
-      metrics_.SubWorkspace();
-      ++metrics_.tuples_emitted;
-      return true;
-    }
-    const bool containee_exhausted = containee_done_ && !containee_has_peek_;
-    const bool dead =
-        containee_exhausted ||
-        (containee_has_peek_ &&
-         front.span.end <= containee_peek_span_.start);
-    if (!dead) break;
-    state_.pop_front();
-    metrics_.SubWorkspace();
-  }
-  return false;
-}
-
-Result<bool> SweepContainmentSemijoin::NextImpl(Tuple* out) {
-  while (true) {
-    if (!container_has_peek_ && !container_done_) {
-      TEMPUS_ASSIGN_OR_RETURN(bool filled, FillContainer());
-      (void)filled;
-    }
-    if (!containee_has_peek_ && !containee_done_) {
-      TEMPUS_ASSIGN_OR_RETURN(bool filled, FillContainee());
-      (void)filled;
-    }
-
-    if (emit_container_) {
-      if (PopDecided(out)) return true;
-      const bool containee_exhausted =
-          containee_done_ && !containee_has_peek_;
-      if (containee_exhausted) {
-        // No witnesses remain: PopDecided drained every pending container,
-        // and unread containers can never match.
-        return false;
-      }
-    } else if (!containee_has_peek_) {
-      // All containees processed; nothing left to emit.
-      return false;
-    }
-
-    // Consume containers up to the containee's start position.
-    if (container_has_peek_ &&
-        (!containee_has_peek_ ||
-         container_peek_span_.start <= containee_peek_span_.start)) {
-      if (containee_done_ && !containee_has_peek_) {
-        // Witness-less container: discard instead of retaining.
-        container_has_peek_ = false;
-        continue;
-      }
-      if (containee_has_peek_ &&
-          container_peek_span_.end <= containee_peek_span_.start) {
-        // Dead on arrival: every remaining containee starts at or after
-        // the sweep position, and strict containment needs
-        // container.end > containee.end > sweep, so this container can
-        // never witness (or be emitted for) anything. Retaining it would
-        // let the state grow past the tuples spanning the sweep.
-        container_has_peek_ = false;
-        continue;
-      }
-      if (emit_container_ || !use_frontier_state_) {
-        state_.push_back(
-            {std::move(container_peek_), container_peek_span_, false});
-        metrics_.AddWorkspace();
-      } else {
-        // Frontier maintenance: keep only non-dominated containers.
-        // Arrivals are (start, end)-lexicographic, so the new container
-        // has the largest start; it is dominated iff the current largest
-        // end (the back) already covers it, and it dominates only
-        // equal-start predecessors.
-        const Interval span = container_peek_span_;
-        ++metrics_.comparisons;
-        if (state_.empty() || state_.back().span.end < span.end) {
-          while (!state_.empty() && state_.back().span.start == span.start) {
-            state_.pop_back();
-            metrics_.SubWorkspace();
-          }
-          state_.push_back({Tuple(), span, false});
-          metrics_.AddWorkspace();
-        }
-      }
-      container_has_peek_ = false;
-      continue;
-    }
-
-    if (!containee_has_peek_) {
-      // Container stream also empty (else the branch above ran); in
-      // emit-container mode PopDecided drains on later iterations.
-      if (!emit_container_) return false;
-      if (state_.empty() && !container_has_peek_) return false;
-      continue;
-    }
-
-    // Process the containee at the sweep position.
-    const Interval b = containee_peek_span_;
-    if (emit_container_) {
-      for (PendingContainer& p : state_) {
-        ++metrics_.comparisons;
-        if (!p.matched && p.span.start < b.start && p.span.end > b.end) {
-          p.matched = true;
-        }
-      }
-      containee_has_peek_ = false;
-      continue;
-    }
-
-    // emit-containee mode: first GC dead containers, then search for a
-    // witness.
-    if (use_frontier_state_) {
-      ++metrics_.gc_checks;
-      while (!state_.empty() && state_.front().span.end <= b.start) {
-        state_.pop_front();
-        metrics_.SubWorkspace();
-      }
-      // Ends increase along the frontier: the best witness among
-      // containers with start < b.start is the last such entry.
-      size_t lo = 0;
-      size_t hi = state_.size();
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        ++metrics_.comparisons;
-        if (state_[mid].span.start < b.start) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      const bool matched = lo > 0 && state_[lo - 1].span.end > b.end;
-      if (matched) {
-        *out = std::move(containee_peek_);
-        containee_has_peek_ = false;
-        ++metrics_.tuples_emitted;
-        return true;
-      }
-      containee_has_peek_ = false;
-      continue;
-    }
-
-    ++metrics_.gc_checks;
-    const size_t before = state_.size();
-    state_.erase(std::remove_if(state_.begin(), state_.end(),
-                                [&b](const PendingContainer& p) {
-                                  return p.span.end <= b.start;
-                                }),
-                 state_.end());
-    metrics_.SubWorkspace(before - state_.size());
-    bool matched = false;
-    for (const PendingContainer& p : state_) {
-      ++metrics_.comparisons;
-      if (p.span.start < b.start && p.span.end > b.end) {
-        matched = true;
-        break;
-      }
-    }
-    if (matched) {
-      *out = std::move(containee_peek_);
-      containee_has_peek_ = false;
-      ++metrics_.tuples_emitted;
-      return true;
-    }
-    containee_has_peek_ = false;
-  }
-}
-
-}  // namespace internal
 
 namespace {
-
-using internal::SweepContainmentSemijoin;
-using internal::TwoBufferContainmentSemijoin;
 
 Result<std::unique_ptr<TupleStream>> DispatchContainmentSemijoin(
     std::unique_ptr<TupleStream> container,
     std::unique_ptr<TupleStream> containee,
     TemporalSortOrder container_order, TemporalSortOrder containee_order,
     bool emit_container, const TemporalSemijoinOptions& options) {
-  // Batch-at-a-time dispatch (docs/BATCH.md). The frontier-state extension
-  // and unsupported orderings fall through to the tuple dispatch below, so
-  // error behavior is unchanged.
-  if (options.batch_size > 0) {
-    if (container_order == kByValidFromAsc &&
-        containee_order == kByValidToAsc) {
-      return internal::BatchTwoBufferContainmentSemijoin::Create(
-          std::move(container), std::move(containee), emit_container,
-          SweepFrame{false}, container_order, containee_order,
-          options.verify_input_order, options.batch_size);
-    }
-    if (container_order == kByValidToDesc &&
-        containee_order == kByValidFromDesc) {
-      return internal::BatchTwoBufferContainmentSemijoin::Create(
-          std::move(container), std::move(containee), emit_container,
-          SweepFrame{true}, container_order, containee_order,
-          options.verify_input_order, options.batch_size);
-    }
-    if (!options.use_frontier_state) {
-      if (container_order == kByValidFromAsc &&
-          containee_order == kByValidFromAsc) {
-        return internal::BatchSweepContainmentSemijoin::Create(
-            std::move(container), std::move(containee), emit_container,
-            SweepFrame{false}, container_order, containee_order,
-            options.verify_input_order, options.batch_size);
-      }
-      if (container_order == kByValidToDesc &&
-          containee_order == kByValidToDesc) {
-        return internal::BatchSweepContainmentSemijoin::Create(
-            std::move(container), std::move(containee), emit_container,
-            SweepFrame{true}, container_order, containee_order,
-            options.verify_input_order, options.batch_size);
-      }
-    }
-  }
   // Two-buffer: container by ValidFrom^, containee by ValidTo^ (or mirror).
-  if (container_order == kByValidFromAsc &&
-      containee_order == kByValidToAsc) {
-    TEMPUS_ASSIGN_OR_RETURN(
-        auto stream,
-        TwoBufferContainmentSemijoin::Create(
-            std::move(container), std::move(containee), emit_container,
-            SweepFrame{false}, container_order, containee_order,
-            options.verify_input_order));
-    return std::unique_ptr<TupleStream>(std::move(stream));
-  }
-  if (container_order == kByValidToDesc &&
-      containee_order == kByValidFromDesc) {
-    TEMPUS_ASSIGN_OR_RETURN(
-        auto stream,
-        TwoBufferContainmentSemijoin::Create(
-            std::move(container), std::move(containee), emit_container,
-            SweepFrame{true}, container_order, containee_order,
-            options.verify_input_order));
-    return std::unique_ptr<TupleStream>(std::move(stream));
+  const bool two_buffer =
+      (container_order == kByValidFromAsc &&
+       containee_order == kByValidToAsc) ||
+      (container_order == kByValidToDesc &&
+       containee_order == kByValidFromDesc);
+  if (two_buffer) {
+    return internal::BatchTwoBufferContainmentSemijoin::Create(
+        std::move(container), std::move(containee), emit_container,
+        SweepFrame{container_order == kByValidToDesc}, container_order,
+        containee_order, options.verify_input_order, options.batch_size);
   }
   // Sweep: both by ValidFrom^ (or mirror).
-  if (container_order == kByValidFromAsc &&
-      containee_order == kByValidFromAsc) {
-    TEMPUS_ASSIGN_OR_RETURN(
-        auto stream,
-        SweepContainmentSemijoin::Create(
-            std::move(container), std::move(containee), emit_container,
-            SweepFrame{false}, container_order, containee_order,
-            options.verify_input_order, options.use_frontier_state));
-    return std::unique_ptr<TupleStream>(std::move(stream));
-  }
-  if (container_order == kByValidToDesc &&
-      containee_order == kByValidToDesc) {
-    TEMPUS_ASSIGN_OR_RETURN(
-        auto stream,
-        SweepContainmentSemijoin::Create(
-            std::move(container), std::move(containee), emit_container,
-            SweepFrame{true}, container_order, containee_order,
-            options.verify_input_order, options.use_frontier_state));
-    return std::unique_ptr<TupleStream>(std::move(stream));
+  const bool sweep = (container_order == kByValidFromAsc &&
+                      containee_order == kByValidFromAsc) ||
+                     (container_order == kByValidToDesc &&
+                      containee_order == kByValidToDesc);
+  if (sweep) {
+    return internal::BatchSweepContainmentSemijoin::Create(
+        std::move(container), std::move(containee), emit_container,
+        SweepFrame{container_order == kByValidToDesc}, container_order,
+        containee_order, options.verify_input_order,
+        options.use_frontier_state, options.batch_size);
   }
   return Status::FailedPrecondition(
       "sort ordering (container " + container_order.ToString() +

@@ -1,9 +1,7 @@
 #ifndef TEMPUS_JOIN_CONTAINMENT_SEMIJOIN_H_
 #define TEMPUS_JOIN_CONTAINMENT_SEMIJOIN_H_
 
-#include <deque>
 #include <memory>
-#include <vector>
 
 #include "join/join_common.h"
 #include "stream/stream.h"
@@ -23,8 +21,7 @@ struct TemporalSemijoinOptions {
   /// sweep point. Same output, strictly smaller state; the ablation
   /// benchmark quantifies the difference.
   bool use_frontier_state = false;
-  /// > 0 selects the batch-at-a-time implementation with this batch size
-  /// (docs/BATCH.md; non-frontier states only); 0 keeps the tuple operator.
+  /// Rows per batch (docs/BATCH.md); 0 means DefaultBatchSize().
   size_t batch_size = 0;
 };
 
@@ -52,129 +49,6 @@ Result<std::unique_ptr<TupleStream>> MakeContainedSemijoin(
     TemporalSemijoinOptions options = {.left_order = kByValidToAsc,
                                        .right_order = kByValidFromAsc});
 
-namespace internal {
-
-/// The paper's optimized two-buffer semijoin (Section 4.2.2). In sweep
-/// coordinates the container stream is keyed by ValidFrom ascending and
-/// the containee stream by ValidTo ascending; the workspace is exactly one
-/// buffered tuple per stream.
-class TwoBufferContainmentSemijoin : public TupleStream {
- public:
-  /// `emit_container` selects Contain-semijoin (true: output containers)
-  /// vs Contained-semijoin (false: output containees).
-  static Result<std::unique_ptr<TwoBufferContainmentSemijoin>> Create(
-      std::unique_ptr<TupleStream> container,
-      std::unique_ptr<TupleStream> containee, bool emit_container,
-      SweepFrame frame, TemporalSortOrder container_order,
-      TemporalSortOrder containee_order, bool verify_order);
-
-  const Schema& schema() const override {
-    return emit_container_ ? container_->schema() : containee_->schema();
-  }
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  std::vector<const TupleStream*> children() const override {
-    return {container_.get(), containee_.get()};
-  }
-
- private:
-  TwoBufferContainmentSemijoin(std::unique_ptr<TupleStream> container,
-                               std::unique_ptr<TupleStream> containee,
-                               bool emit_container, SweepFrame frame,
-                               LifespanRef container_ref,
-                               LifespanRef containee_ref);
-
-  Result<bool> FillContainer();
-  Result<bool> FillContainee();
-
-  std::unique_ptr<TupleStream> container_;
-  std::unique_ptr<TupleStream> containee_;
-  bool emit_container_;
-  SweepFrame frame_;
-  LifespanRef container_ref_;
-  LifespanRef containee_ref_;
-  std::unique_ptr<OrderValidator> container_validator_;
-  std::unique_ptr<OrderValidator> containee_validator_;
-
-  Tuple container_buf_;
-  Interval container_span_;
-  bool container_valid_ = false;
-  bool container_done_ = false;
-  Tuple containee_buf_;
-  Interval containee_span_;
-  bool containee_valid_ = false;
-  bool containee_done_ = false;
-};
-
-/// The sweep variant for inputs both keyed by ValidFrom ascending (in
-/// sweep coordinates): state is bounded by the containers spanning the
-/// sweep position — characterization (c) of Table 1.
-class SweepContainmentSemijoin : public TupleStream {
- public:
-  static Result<std::unique_ptr<SweepContainmentSemijoin>> Create(
-      std::unique_ptr<TupleStream> container,
-      std::unique_ptr<TupleStream> containee, bool emit_container,
-      SweepFrame frame, TemporalSortOrder container_order,
-      TemporalSortOrder containee_order, bool verify_order,
-      bool use_frontier_state);
-
-  const Schema& schema() const override {
-    return emit_container_ ? container_->schema() : containee_->schema();
-  }
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  std::vector<const TupleStream*> children() const override {
-    return {container_.get(), containee_.get()};
-  }
-
- private:
-  struct PendingContainer {
-    Tuple tuple;
-    Interval span;
-    bool matched = false;
-  };
-
-  SweepContainmentSemijoin(std::unique_ptr<TupleStream> container,
-                           std::unique_ptr<TupleStream> containee,
-                           bool emit_container, SweepFrame frame,
-                           LifespanRef container_ref,
-                           LifespanRef containee_ref,
-                           bool use_frontier_state);
-
-  Result<bool> FillContainer();
-  Result<bool> FillContainee();
-
-  /// emit_container mode: pops decided containers off the front of the
-  /// pending queue into *out; returns true if one was emitted.
-  bool PopDecided(Tuple* out);
-
-  std::unique_ptr<TupleStream> container_;
-  std::unique_ptr<TupleStream> containee_;
-  bool emit_container_;
-  SweepFrame frame_;
-  LifespanRef container_ref_;
-  LifespanRef containee_ref_;
-  bool use_frontier_state_;
-  std::unique_ptr<OrderValidator> container_validator_;
-  std::unique_ptr<OrderValidator> containee_validator_;
-
-  /// Containers read but not yet decided/GC'd. In emit_containee mode the
-  /// tuples of dead entries are irrelevant (only spans are consulted); in
-  /// frontier mode this holds the Pareto staircase (starts and ends both
-  /// increasing front to back).
-  std::deque<PendingContainer> state_;
-
-  Tuple container_peek_;
-  Interval container_peek_span_;
-  bool container_has_peek_ = false;
-  bool container_done_ = false;
-  Tuple containee_peek_;
-  Interval containee_peek_span_;
-  bool containee_has_peek_ = false;
-  bool containee_done_ = false;
-};
-
-}  // namespace internal
 }  // namespace tempus
 
 #endif  // TEMPUS_JOIN_CONTAINMENT_SEMIJOIN_H_

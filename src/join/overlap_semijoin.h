@@ -13,8 +13,7 @@ struct OverlapSemijoinOptions {
   /// (Table 2 lists no other appropriate ordering).
   TemporalSortOrder order = kByValidFromAsc;
   bool verify_input_order = true;
-  /// > 0 selects the batch-at-a-time implementation with this batch size
-  /// (docs/BATCH.md); 0 keeps the tuple-at-a-time operator.
+  /// Rows per batch (docs/BATCH.md); 0 means DefaultBatchSize().
   size_t batch_size = 0;
 };
 
@@ -23,41 +22,9 @@ struct OverlapSemijoinOptions {
 /// `overlap`). With both inputs sorted ValidFrom ascending the local
 /// workspace is just the two input buffers — Table 2, characterization
 /// (b). Output preserves the X order; single pass over both inputs.
-class OverlapSemijoin : public TupleStream {
- public:
-  static Result<std::unique_ptr<OverlapSemijoin>> Create(
-      std::unique_ptr<TupleStream> x, std::unique_ptr<TupleStream> y,
-      OverlapSemijoinOptions options = {});
-
-  const Schema& schema() const override { return x_->schema(); }
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  std::vector<const TupleStream*> children() const override {
-    return {x_.get(), y_.get()};
-  }
-
- private:
-  OverlapSemijoin(std::unique_ptr<TupleStream> x,
-                  std::unique_ptr<TupleStream> y, SweepFrame frame,
-                  LifespanRef x_ref, LifespanRef y_ref);
-
-  std::unique_ptr<TupleStream> x_;
-  std::unique_ptr<TupleStream> y_;
-  SweepFrame frame_;
-  LifespanRef x_ref_;
-  LifespanRef y_ref_;
-  std::unique_ptr<OrderValidator> x_validator_;
-  std::unique_ptr<OrderValidator> y_validator_;
-
-  Tuple x_buf_;
-  Interval x_span_;
-  bool x_valid_ = false;
-  bool x_done_ = false;
-  Tuple y_buf_;
-  Interval y_span_;
-  bool y_valid_ = false;
-  bool y_done_ = false;
-};
+Result<std::unique_ptr<TupleStream>> MakeOverlapSemijoin(
+    std::unique_ptr<TupleStream> x, std::unique_ptr<TupleStream> y,
+    OverlapSemijoinOptions options = {});
 
 }  // namespace tempus
 

@@ -3,195 +3,6 @@
 #include "join/batch_sweep.h"
 
 namespace tempus {
-namespace internal {
-
-SingleStateSelfContained::SingleStateSelfContained(
-    std::unique_ptr<TupleStream> x, SweepFrame frame, LifespanRef ref,
-    std::unique_ptr<OrderValidator> validator)
-    : x_(std::move(x)),
-      frame_(frame),
-      ref_(ref),
-      validator_(std::move(validator)) {}
-
-Status SingleStateSelfContained::OpenImpl() {
-  TEMPUS_RETURN_IF_ERROR(x_->Open());
-  ++metrics_.passes_left;
-  state_valid_ = false;
-  metrics_.ResetWorkspace();
-  if (validator_) validator_->Reset();
-  return Status::Ok();
-}
-
-Result<bool> SingleStateSelfContained::NextImpl(Tuple* out) {
-  // Section 4.2.3: one state tuple x_s; each arrival either replaces it or
-  // is emitted as contained within it.
-  Tuple buf;
-  while (true) {
-    TEMPUS_ASSIGN_OR_RETURN(bool has, x_->Next(&buf));
-    if (!has) return false;
-    ++metrics_.tuples_read_left;
-    if (validator_) {
-      TEMPUS_RETURN_IF_ERROR(validator_->Check(buf));
-    }
-    const Interval span = frame_.Map(ref_.Of(buf));
-    if (!state_valid_) {
-      state_span_ = span;
-      state_valid_ = true;
-      metrics_.AddWorkspace();
-      continue;
-    }
-    ++metrics_.comparisons;
-    if (state_span_.start == span.start) {
-      // Secondary order guarantees span.end >= state end: equal starts
-      // never nest strictly, and the longer lifespan covers more future
-      // arrivals.
-      state_span_ = span;
-      continue;
-    }
-    if (state_span_.end <= span.end) {
-      // The newcomer reaches at least as far right while starting later:
-      // anything it would contain, it contains "more tightly" than the old
-      // state (see DESIGN.md correctness note) -- replace.
-      state_span_ = span;
-      continue;
-    }
-    // state.start < span.start and span.end < state.end: strictly inside.
-    *out = std::move(buf);
-    ++metrics_.tuples_emitted;
-    return true;
-  }
-}
-
-SingleStateSelfContain::SingleStateSelfContain(
-    std::unique_ptr<TupleStream> x, SweepFrame frame, LifespanRef ref,
-    std::unique_ptr<OrderValidator> validator)
-    : x_(std::move(x)),
-      frame_(frame),
-      ref_(ref),
-      validator_(std::move(validator)) {}
-
-Status SingleStateSelfContain::OpenImpl() {
-  TEMPUS_RETURN_IF_ERROR(x_->Open());
-  ++metrics_.passes_left;
-  state_valid_ = false;
-  metrics_.ResetWorkspace();
-  if (validator_) validator_->Reset();
-  return Status::Ok();
-}
-
-Result<bool> SingleStateSelfContain::NextImpl(Tuple* out) {
-  // Mirror image of the Contained(X,X) algorithm: with starts arriving in
-  // DESCENDING order, containees precede their containers, and the
-  // minimum-end tuple seen so far is a universal witness: if any earlier
-  // tuple is strictly inside the arrival, the minimum-end one is (ties on
-  // end keep the earlier = larger-start tuple).
-  Tuple buf;
-  while (true) {
-    TEMPUS_ASSIGN_OR_RETURN(bool has, x_->Next(&buf));
-    if (!has) return false;
-    ++metrics_.tuples_read_left;
-    if (validator_) {
-      TEMPUS_RETURN_IF_ERROR(validator_->Check(buf));
-    }
-    const Interval span = frame_.Map(ref_.Of(buf));
-    if (!state_valid_) {
-      state_span_ = span;
-      state_valid_ = true;
-      metrics_.AddWorkspace();
-      continue;
-    }
-    ++metrics_.comparisons;
-    const bool contains_witness =
-        state_span_.start > span.start && state_span_.end < span.end;
-    if (contains_witness) {
-      *out = std::move(buf);
-      ++metrics_.tuples_emitted;
-      return true;
-    }
-    if (span.end < state_span_.end) {
-      state_span_ = span;
-    }
-  }
-}
-
-SweepSelfContain::SweepSelfContain(std::unique_ptr<TupleStream> x,
-                                   SweepFrame frame, LifespanRef ref,
-                                   std::unique_ptr<OrderValidator> validator)
-    : x_(std::move(x)),
-      frame_(frame),
-      ref_(ref),
-      validator_(std::move(validator)) {}
-
-Status SweepSelfContain::OpenImpl() {
-  TEMPUS_RETURN_IF_ERROR(x_->Open());
-  ++metrics_.passes_left;
-  pending_.clear();
-  metrics_.ResetWorkspace();
-  has_peek_ = false;
-  done_ = false;
-  if (validator_) validator_->Reset();
-  return Status::Ok();
-}
-
-bool SweepSelfContain::PopDecided(Tuple* out) {
-  if (!pending_.empty()) ++metrics_.gc_checks;
-  while (!pending_.empty()) {
-    Pending& front = pending_.front();
-    if (front.matched) {
-      *out = std::move(front.tuple);
-      pending_.pop_front();
-      metrics_.SubWorkspace();
-      ++metrics_.tuples_emitted;
-      return true;
-    }
-    const bool dead =
-        (done_ && !has_peek_) ||
-        (has_peek_ && front.span.end <= peek_span_.start);
-    if (!dead) break;
-    pending_.pop_front();
-    metrics_.SubWorkspace();
-  }
-  return false;
-}
-
-Result<bool> SweepSelfContain::NextImpl(Tuple* out) {
-  while (true) {
-    if (!has_peek_ && !done_) {
-      TEMPUS_ASSIGN_OR_RETURN(bool has, x_->Next(&peek_));
-      if (has) {
-        ++metrics_.tuples_read_left;
-        if (validator_) {
-          TEMPUS_RETURN_IF_ERROR(validator_->Check(peek_));
-        }
-        peek_span_ = frame_.Map(ref_.Of(peek_));
-        has_peek_ = true;
-      } else {
-        done_ = true;
-      }
-    }
-    if (PopDecided(out)) return true;
-    if (!has_peek_) {
-      // Stream exhausted; PopDecided drained everything decidable.
-      if (pending_.empty()) return false;
-      continue;
-    }
-    // The arrival is a witness for every pending container enclosing it...
-    for (Pending& p : pending_) {
-      ++metrics_.comparisons;
-      if (!p.matched && p.span.start < peek_span_.start &&
-          p.span.end > peek_span_.end) {
-        p.matched = true;
-      }
-    }
-    // ...and a candidate container for future arrivals.
-    pending_.push_back({std::move(peek_), peek_span_, false});
-    metrics_.AddWorkspace();
-    has_peek_ = false;
-  }
-}
-
-}  // namespace internal
-
 namespace {
 
 struct SelfFrame {
@@ -234,14 +45,9 @@ Result<std::unique_ptr<TupleStream>> MakeSelfContainedSemijoin(
         options.order.ToString());
   }
   auto validator = MaybeValidator(ref, options, "Contained-semijoin(X,X)");
-  if (options.batch_size > 0) {
-    return std::unique_ptr<TupleStream>(
-        new internal::BatchSingleStateSelfContained(
-            std::move(x), sf.frame, std::move(validator),
-            options.batch_size));
-  }
-  return std::unique_ptr<TupleStream>(new internal::SingleStateSelfContained(
-      std::move(x), sf.frame, ref, std::move(validator)));
+  return std::unique_ptr<TupleStream>(
+      new internal::BatchSingleStateSelfContained(
+          std::move(x), sf.frame, std::move(validator), options.batch_size));
 }
 
 Result<std::unique_ptr<TupleStream>> MakeSelfContainSemijoin(
@@ -251,23 +57,15 @@ Result<std::unique_ptr<TupleStream>> MakeSelfContainSemijoin(
   auto validator = MaybeValidator(ref, options, "Contain-semijoin(X,X)");
   const SelfFrame desc = FrameForDescending(options.order);
   if (desc.ok) {
-    if (options.batch_size > 0) {
-      return std::unique_ptr<TupleStream>(
-          new internal::BatchSingleStateSelfContain(
-              std::move(x), desc.frame, std::move(validator),
-              options.batch_size));
-    }
-    return std::unique_ptr<TupleStream>(new internal::SingleStateSelfContain(
-        std::move(x), desc.frame, ref, std::move(validator)));
+    return std::unique_ptr<TupleStream>(
+        new internal::BatchSingleStateSelfContain(
+            std::move(x), desc.frame, std::move(validator),
+            options.batch_size));
   }
   const SelfFrame asc = FrameForAscending(options.order);
   if (asc.ok) {
-    if (options.batch_size > 0) {
-      return std::unique_ptr<TupleStream>(new internal::BatchSweepSelfContain(
-          std::move(x), asc.frame, std::move(validator), options.batch_size));
-    }
-    return std::unique_ptr<TupleStream>(new internal::SweepSelfContain(
-        std::move(x), asc.frame, ref, std::move(validator)));
+    return std::unique_ptr<TupleStream>(new internal::BatchSweepSelfContain(
+        std::move(x), asc.frame, std::move(validator), options.batch_size));
   }
   return Status::FailedPrecondition(
       "Contain-semijoin(X,X): unsupported ordering " +

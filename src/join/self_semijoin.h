@@ -1,7 +1,6 @@
 #ifndef TEMPUS_JOIN_SELF_SEMIJOIN_H_
 #define TEMPUS_JOIN_SELF_SEMIJOIN_H_
 
-#include <deque>
 #include <memory>
 
 #include "join/join_common.h"
@@ -13,8 +12,7 @@ struct SelfSemijoinOptions {
   /// Promised order of the single operand stream.
   TemporalSortOrder order = kByValidFromAsc;
   bool verify_input_order = true;
-  /// > 0 selects the batch-at-a-time implementation with this batch size
-  /// (docs/BATCH.md); 0 keeps the tuple-at-a-time operator.
+  /// Rows per batch (docs/BATCH.md); 0 means DefaultBatchSize().
   size_t batch_size = 0;
 };
 
@@ -45,92 +43,6 @@ Result<std::unique_ptr<TupleStream>> MakeSelfContainedSemijoin(
 Result<std::unique_ptr<TupleStream>> MakeSelfContainSemijoin(
     std::unique_ptr<TupleStream> x, SelfSemijoinOptions options = {});
 
-namespace internal {
-
-/// Single-state Contained-semijoin(X,X); input keyed (start^, end^) in
-/// sweep coordinates.
-class SingleStateSelfContained : public TupleStream {
- public:
-  SingleStateSelfContained(std::unique_ptr<TupleStream> x, SweepFrame frame,
-                           LifespanRef ref,
-                           std::unique_ptr<OrderValidator> validator);
-
-  const Schema& schema() const override { return x_->schema(); }
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  std::vector<const TupleStream*> children() const override {
-    return {x_.get()};
-  }
-
- private:
-  std::unique_ptr<TupleStream> x_;
-  SweepFrame frame_;
-  LifespanRef ref_;
-  std::unique_ptr<OrderValidator> validator_;
-  Interval state_span_;
-  bool state_valid_ = false;
-};
-
-/// Single-state Contain-semijoin(X,X); input keyed (start v, end v) in
-/// sweep coordinates — the state is the minimum-end tuple seen so far.
-class SingleStateSelfContain : public TupleStream {
- public:
-  SingleStateSelfContain(std::unique_ptr<TupleStream> x, SweepFrame frame,
-                         LifespanRef ref,
-                         std::unique_ptr<OrderValidator> validator);
-
-  const Schema& schema() const override { return x_->schema(); }
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  std::vector<const TupleStream*> children() const override {
-    return {x_.get()};
-  }
-
- private:
-  std::unique_ptr<TupleStream> x_;
-  SweepFrame frame_;
-  LifespanRef ref_;
-  std::unique_ptr<OrderValidator> validator_;
-  Interval state_span_;
-  bool state_valid_ = false;
-};
-
-/// Pending-queue Contain-semijoin(X,X) for the "wrong" order (start^):
-/// Table 3 row 1 (b). Emits containers in input order.
-class SweepSelfContain : public TupleStream {
- public:
-  SweepSelfContain(std::unique_ptr<TupleStream> x, SweepFrame frame,
-                   LifespanRef ref,
-                   std::unique_ptr<OrderValidator> validator);
-
-  const Schema& schema() const override { return x_->schema(); }
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  std::vector<const TupleStream*> children() const override {
-    return {x_.get()};
-  }
-
- private:
-  struct Pending {
-    Tuple tuple;
-    Interval span;
-    bool matched = false;
-  };
-
-  bool PopDecided(Tuple* out);
-
-  std::unique_ptr<TupleStream> x_;
-  SweepFrame frame_;
-  LifespanRef ref_;
-  std::unique_ptr<OrderValidator> validator_;
-  std::deque<Pending> pending_;
-  Tuple peek_;
-  Interval peek_span_;
-  bool has_peek_ = false;
-  bool done_ = false;
-};
-
-}  // namespace internal
 }  // namespace tempus
 
 #endif  // TEMPUS_JOIN_SELF_SEMIJOIN_H_

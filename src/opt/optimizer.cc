@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/string_util.h"
-#include "stream/kernel.h"
 
 namespace tempus {
 
@@ -180,18 +179,6 @@ CascadeOrder Optimizer::ChooseCascadeOrder(
         Join(names, " ").c_str(), dp_cost[full]);
   }
   return result;
-}
-
-size_t Optimizer::ChooseBatchSize(double est_input_rows,
-                                  size_t default_batch) const {
-  if (!cost_based()) return default_batch;
-  if (default_batch == 0) return 0;  // Tuple path pinned by the caller.
-  // The vectorized expression kernels amortize per-batch setup over
-  // branch-free columnar loops, so batching starts paying off at half the
-  // input size it needs on the interpreted path.
-  const double threshold = VectorKernelsEnabled() ? kBatchRowThreshold / 2
-                                                  : kBatchRowThreshold;
-  return est_input_rows < threshold ? 0 : default_batch;
 }
 
 }  // namespace tempus

@@ -85,16 +85,7 @@ class Optimizer {
       const std::vector<double>& base_rows,
       const std::function<double(size_t, size_t)>& pair_selectivity) const;
 
-  /// Batch-vs-tuple path: returns the batch size to plan with, given the
-  /// total estimated input cardinality and the default batch size. Tiny
-  /// inputs take the tuple path (batch setup costs more than it saves).
-  size_t ChooseBatchSize(double est_input_rows, size_t default_batch) const;
-
   static constexpr size_t kMaxDpVars = 12;
-  /// Estimated input rows below which the tuple path beats batching.
-  /// Halved when the vectorized expression kernels are on (docs/BATCH.md):
-  /// columnar evaluation recoups per-batch setup sooner.
-  static constexpr double kBatchRowThreshold = 64.0;
 
  private:
   const OptimizerMode mode_;

@@ -287,27 +287,15 @@ class PlanBuilder {
     rationale_.push_back(note);
   }
 
-  /// Effective batch size for the batch-at-a-time sweep operators
-  /// (options_.batch_size; kNoBatchOverride defers to TEMPUS_BATCH_SIZE;
-  /// a per-pair cost-based override wins when set).
+  /// Rows per batch for every operator of the plan (options_.batch_size;
+  /// 0 defers to TEMPUS_BATCH_SIZE).
   size_t BatchSize() const {
-    if (pair_batch_.has_value()) return *pair_batch_;
-    return options_.batch_size == PlannerOptions::kNoBatchOverride
-               ? DefaultBatchSize()
-               : options_.batch_size;
+    return options_.batch_size == 0 ? DefaultBatchSize()
+                                    : options_.batch_size;
   }
-  /// Explain suffix for operators planned batch-at-a-time.
+  /// Explain suffix for the batch operators.
   std::string BatchNote() const {
-    return BatchSize() > 0 ? StrFormat(" [batch=%zu]", BatchSize())
-                           : std::string();
-  }
-  /// Plan-level batch size stamped on the PlannedQuery: the options-level
-  /// resolution only, ignoring any per-pair cost-based override (the root
-  /// drain should use batches whenever the plan was built batch-capable).
-  size_t RootBatchSize() const {
-    return options_.batch_size == PlannerOptions::kNoBatchOverride
-               ? DefaultBatchSize()
-               : options_.batch_size;
+    return StrFormat(" [batch=%zu]", BatchSize());
   }
 
   const Catalog* catalog_;
@@ -333,10 +321,6 @@ class PlanBuilder {
 
   Optimizer optimizer_;
   std::vector<std::string> rationale_;
-  // Per-pair execution-strategy overrides chosen by the cost-based
-  // optimizer for the pairwise temporal operators (one pair per query in
-  // the two-variable stream path, so plain members suffice).
-  std::optional<size_t> pair_batch_;
 
   std::string notes_;
 };
@@ -1034,21 +1018,6 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
     }
     return out;
   };
-  // Batch-vs-tuple path: decided by the cost model only when both inputs
-  // carry analyze-built statistics, so un-analyzed catalogs keep the
-  // environment-driven default (and TEMPUS_OPTIMIZER=off reproduces it
-  // exactly).
-  if (have_stats && lstats->detailed && rstats->detailed) {
-    const size_t batch =
-        optimizer_.ChooseBatchSize(left_in.rows + right_in.rows, BatchSize());
-    if (batch != BatchSize()) {
-      AddNote(StrFormat(
-          "cost model: tuple path (est %.0f input rows below batch "
-          "threshold)",
-          left_in.rows + right_in.rows));
-      pair_batch_ = batch;
-    }
-  }
   // Mark pair-only essential predicates as subsumed by the mask operator.
   auto subsume_pair_predicates = [this, lv, rv]() {
     for (size_t i = 0; i < pending_essential_.size(); ++i) {
@@ -2049,7 +2018,7 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
 
   StampLabel(&plan);
   out.root = std::move(plan.stream);
-  out.batch_size = RootBatchSize();
+  out.batch_size = BatchSize();
   std::string header;
   if (!notes_.empty()) header += "-- " + notes_;
   out.explain = header + plan.explain;
@@ -2119,7 +2088,7 @@ Result<PlannedQuery> PlanBuilder::Build() {
   StampLabel(&plan);
 
   out.root = std::move(plan.stream);
-  out.batch_size = RootBatchSize();
+  out.batch_size = BatchSize();
   std::string header;
   if (!analysis_.injected.empty()) {
     header += "-- integrity constraints used: " +
@@ -2154,10 +2123,7 @@ std::vector<TemporalSortOrder> ProvidedOrders(const Catalog::Entry& entry) {
 }
 
 Result<TemporalRelation> PlannedQuery::Execute() {
-  if (batch_size > 0) {
-    return MaterializeBatches(root.get(), into, batch_size);
-  }
-  return Materialize(root.get(), into);
+  return MaterializeBatches(root.get(), into, batch_size);
 }
 
 std::string PlannedQuery::AnalyzeReport() const {

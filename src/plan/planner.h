@@ -43,12 +43,10 @@ struct PlannerOptions {
   bool verify_sorted_inputs = true;
   /// Unused: kept only because tempusbench/harness.cc assigns it.
   size_t threads = 1;
-  /// Batch size for the batch-at-a-time sweep operators (docs/BATCH.md).
-  /// kNoBatchOverride (the default) resolves to the TEMPUS_BATCH_SIZE
-  /// environment variable (itself defaulting to 1024); 0 forces the
-  /// tuple-at-a-time operators; K > 0 forces batches of K rows.
-  static constexpr size_t kNoBatchOverride = static_cast<size_t>(-1);
-  size_t batch_size = kNoBatchOverride;
+  /// Rows per batch for every operator of the plan (docs/BATCH.md); 0
+  /// (the default) means DefaultBatchSize(), i.e. the TEMPUS_BATCH_SIZE
+  /// environment variable, itself defaulting to 1024.
+  size_t batch_size = 0;
   /// EXPLAIN ANALYZE: attach a TraceCollector to the plan so executing it
   /// records per-operator wall time; PlannedQuery::AnalyzeReport() then
   /// renders the annotated tree (docs/OBSERVABILITY.md). Off by default —
@@ -90,9 +88,9 @@ struct PlannedQuery {
   std::unique_ptr<TraceCollector> trace;
   /// Effective plan-level batch size (options.batch_size resolved through
   /// TEMPUS_BATCH_SIZE). Execute() drains the root through NextBatch()
-  /// when > 0, so batch-native operators — including the vectorized
-  /// expression kernels in filters/projections — run columnar even when
-  /// no batch consumer sits above them; 0 drains tuple-at-a-time.
+  /// in batches of this size, so batch-native operators — including the
+  /// vectorized expression kernels in filters/projections — run columnar
+  /// even when no batch consumer sits above them.
   size_t batch_size = 0;
 
   /// Runs the plan to completion, materializing the result relation.

@@ -28,11 +28,11 @@ Result<SortSpec> CoalesceSortSpec(const Schema& schema) {
 CoalesceStream::CoalesceStream(std::unique_ptr<TupleStream> child,
                                LifespanRef lifespan, SortSpec spec,
                                bool verify_input_order, size_t batch_size)
-    : child_(std::move(child)),
+    : BatchOperator(batch_size),
+      child_(std::move(child)),
       lifespan_(lifespan),
       spec_(std::move(spec)),
-      verify_input_order_(verify_input_order),
-      batch_size_(batch_size) {}
+      verify_input_order_(verify_input_order) {}
 
 Result<std::unique_ptr<CoalesceStream>> CoalesceStream::Create(
     std::unique_ptr<TupleStream> child, bool verify_input_order,
@@ -54,6 +54,7 @@ Status CoalesceStream::OpenImpl() {
   previous_.reset();
   input_.Clear();
   input_cursor_ = 0;
+  ResetAdapter();
   return Status::Ok();
 }
 
@@ -91,47 +92,7 @@ Tuple CoalesceStream::Flush() {
   return row;
 }
 
-Result<bool> CoalesceStream::NextImpl(Tuple* out) {
-  Tuple next;
-  while (true) {
-    if (input_done_) {
-      if (!have_acc_) return false;
-      *out = Flush();
-      return true;
-    }
-    TEMPUS_ASSIGN_OR_RETURN(bool has, child_->Next(&next));
-    if (!has) {
-      input_done_ = true;
-      continue;
-    }
-    ++metrics_.tuples_read_left;
-    TEMPUS_RETURN_IF_ERROR(CheckOrder(next));
-    const Interval span = lifespan_.Of(next);
-    if (!have_acc_) {
-      acc_ = std::move(next);
-      acc_span_ = span;
-      have_acc_ = true;
-      metrics_.AddWorkspace();
-      continue;
-    }
-    if (SameGroup(acc_, next) && span.start <= acc_span_.end) {
-      // Same value group, adjacent or overlapping: extend the accumulated
-      // maximal interval instead of emitting.
-      TEMPUS_FAULT_POINT("coalesce.merge");
-      acc_span_.end = std::max(acc_span_.end, span.end);
-      continue;
-    }
-    *out = Flush();
-    acc_ = std::move(next);
-    acc_span_ = span;
-    have_acc_ = true;
-    metrics_.AddWorkspace();
-    return true;
-  }
-}
-
-Result<bool> CoalesceStream::NextBatchImpl(TupleBatch* out, size_t max_rows) {
-  if (batch_size_ == 0) return TupleStream::NextBatchImpl(out, max_rows);
+Result<bool> CoalesceStream::ProduceBatch(TupleBatch* out, size_t max_rows) {
   while (out->size() < max_rows) {
     if (input_done_) {
       if (have_acc_) {

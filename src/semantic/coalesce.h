@@ -6,6 +6,7 @@
 
 #include "relation/sort_spec.h"
 #include "stream/batch.h"
+#include "stream/batch_operator.h"
 #include "stream/stream.h"
 
 namespace tempus {
@@ -26,24 +27,25 @@ Result<SortSpec> CoalesceSortSpec(const Schema& schema);
 /// values, start <= accumulated end — the "coalesce.merge" fault point) or
 /// closes it, so one state tuple suffices — the coalescing analogue of the
 /// Table 3 single-state self-semijoin orders.
-class CoalesceStream : public TupleStream {
+class CoalesceStream final : public BatchOperator {
  public:
   /// The child must produce tuples in CoalesceSortSpec order (verified
   /// incrementally when `verify_input_order`; mis-sorted input fails fast).
-  /// `batch_size` 0 keeps the tuple protocol; > 0 makes NextBatch() native
-  /// (child consumed in batches, maximal intervals emitted into recycled
-  /// owned slots), preserving the single-accumulator workspace bound.
+  /// The child is consumed in batches of `batch_size` rows (0 means
+  /// DefaultBatchSize()) and maximal intervals are emitted into recycled
+  /// owned slots, preserving the single-accumulator workspace bound.
   static Result<std::unique_ptr<CoalesceStream>> Create(
       std::unique_ptr<TupleStream> child, bool verify_input_order = true,
       size_t batch_size = 0);
 
   const Schema& schema() const override { return child_->schema(); }
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  Result<bool> NextBatchImpl(TupleBatch* out, size_t max_rows) override;
   std::vector<const TupleStream*> children() const override {
     return {child_.get()};
   }
+
+ protected:
+  Result<bool> ProduceBatch(TupleBatch* out, size_t max_rows) override;
 
  private:
   CoalesceStream(std::unique_ptr<TupleStream> child, LifespanRef lifespan,
@@ -51,14 +53,13 @@ class CoalesceStream : public TupleStream {
 
   bool SameGroup(const Tuple& a, const Tuple& b);
   Tuple Flush();
-  /// Order-validation step shared by both protocols.
+  /// Incremental order validation of the next input row.
   Status CheckOrder(const Tuple& next);
 
   std::unique_ptr<TupleStream> child_;
   LifespanRef lifespan_;
   SortSpec spec_;
   bool verify_input_order_;
-  size_t batch_size_;
 
   Tuple acc_;
   Interval acc_span_;
@@ -66,7 +67,7 @@ class CoalesceStream : public TupleStream {
   bool input_done_ = false;
   std::optional<Tuple> previous_;  // Order-validation witness.
 
-  TupleBatch input_;        // Batch-path scratch for child rows.
+  TupleBatch input_;        // Scratch for child rows.
   size_t input_cursor_ = 0;
 };
 

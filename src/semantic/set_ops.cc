@@ -26,7 +26,8 @@ SequencedUnionStream::SequencedUnionStream(std::unique_ptr<TupleStream> left,
                                            std::unique_ptr<TupleStream> right,
                                            LifespanRef lifespan,
                                            bool verify_input_order)
-    : left_(std::move(left)),
+    : BatchOperator(/*batch_size=*/0),
+      left_(std::move(left)),
       right_(std::move(right)),
       lifespan_(lifespan) {
   if (verify_input_order) {
@@ -53,111 +54,54 @@ Status SequencedUnionStream::OpenImpl() {
   TEMPUS_RETURN_IF_ERROR(right_->Open());
   ++metrics_.passes_left;
   ++metrics_.passes_right;
-  left_has_peek_ = right_has_peek_ = false;
-  left_done_ = right_done_ = false;
   left_batch_.Clear();
   right_batch_.Clear();
   left_batch_pos_ = right_batch_pos_ = 0;
   left_batch_done_ = right_batch_done_ = false;
+  ResetAdapter();
   if (left_validator_) left_validator_->Reset();
   if (right_validator_) right_validator_->Reset();
   return Status::Ok();
 }
 
-Result<bool> SequencedUnionStream::FillPeek(bool left_side) {
+Result<bool> SequencedUnionStream::Refill(bool left_side) {
   TupleStream* stream = left_side ? left_.get() : right_.get();
-  Tuple* peek = left_side ? &left_peek_ : &right_peek_;
-  TEMPUS_ASSIGN_OR_RETURN(bool has, stream->Next(peek));
-  if (!has) {
-    (left_side ? left_done_ : right_done_) = true;
+  TupleBatch* batch = left_side ? &left_batch_ : &right_batch_;
+  size_t* pos = left_side ? &left_batch_pos_ : &right_batch_pos_;
+  bool* done = left_side ? &left_batch_done_ : &right_batch_done_;
+  if (*done) return false;
+  TEMPUS_ASSIGN_OR_RETURN(bool more, stream->NextBatch(batch, batch_size_));
+  *pos = 0;
+  if (!more) {
+    *done = true;
     return false;
   }
+  auto& read =
+      left_side ? metrics_.tuples_read_left : metrics_.tuples_read_right;
+  read += batch->ActiveSize();
   OrderValidator* validator =
       left_side ? left_validator_.get() : right_validator_.get();
   if (validator != nullptr) {
-    TEMPUS_RETURN_IF_ERROR(validator->Check(*peek));
-  }
-  if (left_side) {
-    left_peek_span_ = lifespan_.Of(*peek);
-    left_has_peek_ = true;
-    ++metrics_.tuples_read_left;
-  } else {
-    right_peek_span_ = lifespan_.Of(*peek);
-    right_has_peek_ = true;
-    ++metrics_.tuples_read_right;
+    for (size_t i = 0; i < batch->ActiveSize(); ++i) {
+      TEMPUS_RETURN_IF_ERROR(
+          validator->CheckSpan(batch->span(batch->ActiveIndex(i))));
+    }
   }
   return true;
 }
 
-Result<bool> SequencedUnionStream::NextImpl(Tuple* out) {
-  if (!left_has_peek_ && !left_done_) {
-    TEMPUS_ASSIGN_OR_RETURN(bool filled, FillPeek(/*left_side=*/true));
-    (void)filled;
-  }
-  if (!right_has_peek_ && !right_done_) {
-    TEMPUS_ASSIGN_OR_RETURN(bool filled, FillPeek(/*left_side=*/false));
-    (void)filled;
-  }
-  if (!left_has_peek_ && !right_has_peek_) return false;
-  bool use_left;
-  if (!left_has_peek_) {
-    use_left = false;
-  } else if (!right_has_peek_) {
-    use_left = true;
-  } else {
-    ++metrics_.merge_comparisons;
-    // (start, end) lexicographic; ties take the left side for determinism.
-    use_left = !OrderByStartAsc()(right_peek_span_, left_peek_span_);
-  }
-  if (use_left) {
-    *out = std::move(left_peek_);
-    left_has_peek_ = false;
-  } else {
-    *out = std::move(right_peek_);
-    right_has_peek_ = false;
-  }
-  ++metrics_.tuples_emitted;
-  return true;
-}
-
-Result<bool> SequencedUnionStream::NextBatchImpl(TupleBatch* out,
-                                                 size_t max_rows) {
-  // Native columnar merge: walk the two input batches' span columns and
-  // copy the winning rows into recycled owned slots. Input batch storage is
+Result<bool> SequencedUnionStream::ProduceBatch(TupleBatch* out,
+                                                size_t max_rows) {
+  // Columnar merge: walk the two input batches' span columns and copy the
+  // winning rows into recycled owned slots. Input batch storage is
   // recycled on the producer's next fill, so rows must be copied out.
-  auto refill = [this](bool left_side) -> Result<bool> {
-    TupleStream* stream = left_side ? left_.get() : right_.get();
-    TupleBatch* batch = left_side ? &left_batch_ : &right_batch_;
-    size_t* pos = left_side ? &left_batch_pos_ : &right_batch_pos_;
-    bool* done = left_side ? &left_batch_done_ : &right_batch_done_;
-    if (*done) return false;
-    TEMPUS_ASSIGN_OR_RETURN(bool more, stream->NextBatch(batch));
-    *pos = 0;
-    if (!more) {
-      *done = true;
-      return false;
-    }
-    auto& read = left_side ? metrics_.tuples_read_left
-                           : metrics_.tuples_read_right;
-    read += batch->ActiveSize();
-    OrderValidator* validator =
-        left_side ? left_validator_.get() : right_validator_.get();
-    if (validator != nullptr) {
-      for (size_t i = 0; i < batch->ActiveSize(); ++i) {
-        TEMPUS_RETURN_IF_ERROR(
-            validator->CheckSpan(batch->span(batch->ActiveIndex(i))));
-      }
-    }
-    return true;
-  };
-
   while (out->size() < max_rows) {
     if (left_batch_pos_ >= left_batch_.ActiveSize() && !left_batch_done_) {
-      TEMPUS_ASSIGN_OR_RETURN(bool more, refill(/*left_side=*/true));
+      TEMPUS_ASSIGN_OR_RETURN(bool more, Refill(/*left_side=*/true));
       (void)more;
     }
     if (right_batch_pos_ >= right_batch_.ActiveSize() && !right_batch_done_) {
-      TEMPUS_ASSIGN_OR_RETURN(bool more, refill(/*left_side=*/false));
+      TEMPUS_ASSIGN_OR_RETURN(bool more, Refill(/*left_side=*/false));
       (void)more;
     }
     const bool left_avail = left_batch_pos_ < left_batch_.ActiveSize();

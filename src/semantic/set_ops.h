@@ -6,6 +6,7 @@
 
 #include "join/join_common.h"
 #include "join/subtract.h"
+#include "stream/batch_operator.h"
 #include "stream/stream.h"
 
 namespace tempus {
@@ -14,9 +15,9 @@ namespace tempus {
 /// equal-schema ValidFrom^-ordered inputs, emitting every tuple of both in
 /// ValidFrom^ order. Each time point's snapshot is the bag union of the
 /// input snapshots. Workspace bound 0 — the two peeks are input buffers,
-/// exactly the paper's <Buffer-x, Buffer-y> accounting. Has a native
-/// batch-at-a-time form (the merge walks the batch span columns).
-class SequencedUnionStream : public TupleStream {
+/// exactly the paper's <Buffer-x, Buffer-y> accounting. The merge walks
+/// the two input batches' span columns (docs/BATCH.md).
+class SequencedUnionStream final : public BatchOperator {
  public:
   /// Schemas must be equal; both inputs must be ordered ValidFrom^.
   static Result<std::unique_ptr<SequencedUnionStream>> Create(
@@ -25,18 +26,20 @@ class SequencedUnionStream : public TupleStream {
 
   const Schema& schema() const override { return left_->schema(); }
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  Result<bool> NextBatchImpl(TupleBatch* out, size_t max_rows) override;
   std::vector<const TupleStream*> children() const override {
     return {left_.get(), right_.get()};
   }
+
+ protected:
+  Result<bool> ProduceBatch(TupleBatch* out, size_t max_rows) override;
 
  private:
   SequencedUnionStream(std::unique_ptr<TupleStream> left,
                        std::unique_ptr<TupleStream> right,
                        LifespanRef lifespan, bool verify_input_order);
 
-  Result<bool> FillPeek(bool left_side);
+  /// Pulls the next batch of one input into its cursor; false at its end.
+  Result<bool> Refill(bool left_side);
 
   std::unique_ptr<TupleStream> left_;
   std::unique_ptr<TupleStream> right_;
@@ -44,16 +47,6 @@ class SequencedUnionStream : public TupleStream {
   std::unique_ptr<OrderValidator> left_validator_;
   std::unique_ptr<OrderValidator> right_validator_;
 
-  Tuple left_peek_;
-  Interval left_peek_span_;
-  bool left_has_peek_ = false;
-  bool left_done_ = false;
-  Tuple right_peek_;
-  Interval right_peek_span_;
-  bool right_has_peek_ = false;
-  bool right_done_ = false;
-
-  // Batch-path cursors (a consumer uses Next() or NextBatch(), never both).
   TupleBatch left_batch_;
   TupleBatch right_batch_;
   size_t left_batch_pos_ = 0;

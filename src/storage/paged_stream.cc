@@ -1,5 +1,8 @@
 #include "storage/paged_stream.h"
 
+#include <algorithm>
+
+#include "buffer/buffer_manager.h"
 #include "common/fault.h"
 
 namespace tempus {
@@ -64,7 +67,15 @@ Result<bool> PagedScanStream::NextBatchImpl(TupleBatch* out,
         "PagedScanStream::NextBatch before Open");
   }
   const LifespanRef* lifespan = BatchLifespan();
+  const BufferManager* pool = relation_->pool();
+  const size_t pin_limit =
+      pool == nullptr ? 0
+                      : std::max<size_t>(1, pool->frame_budget() /
+                                                kBatchPinShare);
+  size_t pinned_pages = 0;
   while (out->size() < max_rows && page_index_ < relation_->page_count()) {
+    // Page boundary: stop once this batch holds its share of the pool.
+    if (pool != nullptr && pinned_pages >= pin_limit) break;
     if (current_ == nullptr || !current_->valid()) {
       TEMPUS_RETURN_IF_ERROR(PinCurrent());
     }
@@ -81,6 +92,7 @@ Result<bool> PagedScanStream::NextBatchImpl(TupleBatch* out,
         if (!keepalive_added) {
           out->AddKeepalive(current_);
           keepalive_added = true;
+          ++pinned_pages;
         }
         out->PushPinned(&tuple, span);
       }

@@ -12,6 +12,12 @@ namespace tempus {
 /// by the pool's free budget; see BufferManager::Readahead).
 inline constexpr size_t kScanReadaheadPages = 4;
 
+/// A disk batch ends at a page boundary once it pins 1/kBatchPinShare of
+/// its pool's frame budget (at least one page), so the concurrent scans of
+/// a streaming plan — each reader holding one batch — leave the pool
+/// frames to evict instead of overcommitting it.
+inline constexpr size_t kBatchPinShare = 4;
+
 /// Scans a PagedRelation page by page, charging one page read to the
 /// shared counter per page touched (and per re-pass after Open() is
 /// called again). In disk-backed mode the scan pins exactly one page at a
@@ -34,7 +40,8 @@ class PagedScanStream : public TupleStream {
   /// Native batches hand decoded pages over zero-copy: in-memory pages as
   /// kStable rows, disk pages as kPinned rows whose batch keepalive shares
   /// the pin — the frame stays resident until the consumer clears the
-  /// batch, never longer.
+  /// batch, never longer. A batch pins at most kBatchPinShare's share of
+  /// the pool's frame budget.
   Result<bool> NextBatchImpl(TupleBatch* out, size_t max_rows) override;
 
  private:

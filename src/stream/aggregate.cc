@@ -24,11 +24,11 @@ std::string_view AggregateFunctionName(AggregateFunction fn) {
 GroupAggregateStream::GroupAggregateStream(
     std::unique_ptr<TupleStream> child, std::vector<size_t> group_attrs,
     std::vector<AggregateSpec> aggregates, Schema schema, size_t batch_size)
-    : child_(std::move(child)),
+    : BatchOperator(batch_size),
+      child_(std::move(child)),
       group_attrs_(std::move(group_attrs)),
       aggregates_(std::move(aggregates)),
-      schema_(std::move(schema)),
-      batch_size_(batch_size) {}
+      schema_(std::move(schema)) {}
 
 Result<std::unique_ptr<GroupAggregateStream>> GroupAggregateStream::Create(
     std::unique_ptr<TupleStream> child, std::vector<size_t> group_attrs,
@@ -78,6 +78,7 @@ Status GroupAggregateStream::OpenImpl() {
   metrics_.ResetWorkspace();
   input_.Clear();
   input_cursor_ = 0;
+  ResetAdapter();
   return child_->Open();
 }
 
@@ -144,49 +145,8 @@ Tuple GroupAggregateStream::EmitGroup() {
   return Tuple(std::move(values));
 }
 
-Result<bool> GroupAggregateStream::NextImpl(Tuple* out) {
-  while (true) {
-    if (done_) {
-      if (has_group_) {
-        *out = EmitGroup();
-        has_group_ = false;
-        metrics_.SubWorkspace();
-        ++metrics_.tuples_emitted;
-        return true;
-      }
-      return false;
-    }
-    Tuple t;
-    TEMPUS_ASSIGN_OR_RETURN(bool has, child_->Next(&t));
-    if (!has) {
-      done_ = true;
-      continue;
-    }
-    ++metrics_.tuples_read_left;
-    if (!has_group_) {
-      StartGroup(t);
-      has_group_ = true;
-      metrics_.AddWorkspace();  // The group state (key + accumulators).
-      TEMPUS_RETURN_IF_ERROR(Accumulate(t));
-      continue;
-    }
-    ++metrics_.comparisons;
-    if (SameGroup(t)) {
-      TEMPUS_RETURN_IF_ERROR(Accumulate(t));
-      continue;
-    }
-    // Group boundary: emit the finished group, start the new one.
-    *out = EmitGroup();
-    StartGroup(t);
-    TEMPUS_RETURN_IF_ERROR(Accumulate(t));
-    ++metrics_.tuples_emitted;
-    return true;
-  }
-}
-
-Result<bool> GroupAggregateStream::NextBatchImpl(TupleBatch* out,
-                                                 size_t max_rows) {
-  if (batch_size_ == 0) return TupleStream::NextBatchImpl(out, max_rows);
+Result<bool> GroupAggregateStream::ProduceBatch(TupleBatch* out,
+                                                size_t max_rows) {
   const LifespanRef* lifespan = BatchLifespan();
   auto push_group = [&] {
     Tuple row = EmitGroup();

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "stream/batch.h"
+#include "stream/batch_operator.h"
 #include "stream/stream.h"
 
 namespace tempus {
@@ -34,23 +35,23 @@ struct AggregateSpec {
 /// information rather than tuple copies, the second kind of stream state
 /// Section 4.1 describes. Output: one row per group, grouping attributes
 /// followed by the aggregate columns, in group arrival order.
-class GroupAggregateStream : public TupleStream {
+class GroupAggregateStream final : public BatchOperator {
  public:
-  /// `batch_size` 0 keeps the tuple protocol; > 0 makes NextBatch() native
-  /// (child consumed in batches, one output row per group boundary pushed
-  /// into recycled owned slots). The group-state workspace bound of 1 is
-  /// unchanged.
+  /// The child is consumed in batches of `batch_size` rows (0 means
+  /// DefaultBatchSize()); one output row per group boundary is pushed into
+  /// recycled owned slots. The group-state workspace bound is 1.
   static Result<std::unique_ptr<GroupAggregateStream>> Create(
       std::unique_ptr<TupleStream> child, std::vector<size_t> group_attrs,
       std::vector<AggregateSpec> aggregates, size_t batch_size = 0);
 
   const Schema& schema() const override { return schema_; }
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* out) override;
-  Result<bool> NextBatchImpl(TupleBatch* out, size_t max_rows) override;
   std::vector<const TupleStream*> children() const override {
     return {child_.get()};
   }
+
+ protected:
+  Result<bool> ProduceBatch(TupleBatch* out, size_t max_rows) override;
 
  private:
   struct Accumulator {
@@ -83,14 +84,13 @@ class GroupAggregateStream : public TupleStream {
   std::vector<size_t> group_attrs_;
   std::vector<AggregateSpec> aggregates_;
   Schema schema_;
-  size_t batch_size_;
 
   std::vector<Value> current_key_;
   std::vector<Accumulator> accumulators_;
   bool has_group_ = false;
   bool done_ = false;
 
-  TupleBatch input_;        // Batch-path scratch for child rows.
+  TupleBatch input_;        // Scratch for child rows.
   size_t input_cursor_ = 0;
 };
 

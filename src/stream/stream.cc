@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "stream/batch_operator.h"
+
 namespace tempus {
 
 namespace {
@@ -78,6 +80,19 @@ Result<bool> TupleStream::NextBatchImpl(TupleBatch* out, size_t max_rows) {
     tuple = Tuple();
   }
   return !out->empty();
+}
+
+Result<bool> BatchOperator::NextImpl(Tuple* out) {
+  while (adapter_cursor_ >= adapter_batch_.ActiveSize()) {
+    TEMPUS_RETURN_IF_ERROR(adapter_batch_.Reserve(batch_size_));
+    adapter_cursor_ = 0;
+    TEMPUS_ASSIGN_OR_RETURN(const bool more,
+                            ProduceBatch(&adapter_batch_, batch_size_));
+    if (!more) return false;
+  }
+  adapter_batch_.MaterializeRow(
+      adapter_batch_.ActiveIndex(adapter_cursor_++), out);
+  return true;
 }
 
 void TupleStream::EnableTracing(TraceCollector* collector) {

@@ -1,5 +1,6 @@
 #include "testing/differential.h"
 
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -8,7 +9,6 @@
 #include "buffer/buffer_manager.h"
 #include "common/string_util.h"
 #include "join/allen_sweep_join.h"
-#include "join/batch_sweep.h"
 #include "join/before_join.h"
 #include "join/contain_join.h"
 #include "join/containment_semijoin.h"
@@ -357,6 +357,30 @@ Result<std::string> CanonicalCsv(const TemporalRelation& rel) {
   return out.str();
 }
 
+/// The output serialized as stored, in production order.
+Result<std::string> RawCsv(const TemporalRelation& rel) {
+  std::ostringstream out;
+  TEMPUS_RETURN_IF_ERROR(WriteCsv(rel, &out));
+  return out.str();
+}
+
+/// The output order an operator promises, if any: the semijoins emit
+/// their X operand in its input order.
+std::optional<TemporalSortOrder> PromisedOutputOrder(
+    const DifferentialCase& c) {
+  switch (c.op) {
+    case PairwiseOp::kOverlapSemijoin:
+    case PairwiseOp::kContainSemijoin:
+    case PairwiseOp::kContainedSemijoin:
+    case PairwiseOp::kBeforeSemijoin:
+    case PairwiseOp::kSelfContainedSemijoin:
+    case PairwiseOp::kSelfContainSemijoin:
+      return c.left_order;
+    default:
+      return std::nullopt;
+  }
+}
+
 std::string FirstDiffLine(const std::string& engine,
                           const std::string& oracle) {
   std::istringstream es(engine);
@@ -581,13 +605,15 @@ Result<DifferentialResult> RunDifferentialCase(const DifferentialCase& c) {
     stream = WrapKernelFilter(std::move(stream), c.kernel, kernel_spec);
   }
 
-  // Batch cases drain the plan through NextBatch() so the native batch
-  // path (not the tuple adapter) is what gets compared.
-  const bool batched = c.batch_size > 0 && c.mode != ExecMode::kNoGc;
+  // Stream cases drain the plan through NextBatch() at the case's batch
+  // size; the order-free no-GC operators drain row by row.
+  const bool stream_mode = c.mode != ExecMode::kNoGc;
+  const size_t batch_size =
+      c.batch_size == 0 ? DefaultBatchSize() : c.batch_size;
   TEMPUS_ASSIGN_OR_RETURN(
       TemporalRelation engine_out,
-      batched ? MaterializeBatches(stream.get(), "engine_out", c.batch_size)
-              : Materialize(stream.get(), "engine_out"));
+      stream_mode ? MaterializeBatches(stream.get(), "engine_out", batch_size)
+                  : Materialize(stream.get(), "engine_out"));
 
   DifferentialResult result;
   result.oracle_tuples = oracle.size();
@@ -666,29 +692,46 @@ Result<DifferentialResult> RunDifferentialCase(const DifferentialCase& c) {
     result.diff = FirstDiffLine(engine_csv, oracle_csv);
   }
 
-  // Batch cases additionally run the tuple-at-a-time twin of the same
-  // configuration over the same operands: the batch output must be
-  // byte-identical to the tuple path's, and the twin's GC ledger must also
-  // balance.
-  if (batched) {
-    DifferentialCase twin_case = c;
-    twin_case.batch_size = 0;
+  if (!stream_mode) return result;
+
+  // The promised output order: a semijoin emits its X operand (sorted to
+  // the case's left order) in input order.
+  if (std::optional<TemporalSortOrder> order = PromisedOutputOrder(c)) {
+    TEMPUS_ASSIGN_OR_RETURN(LifespanRef ref,
+                            LifespanRef::ForSchema(engine_out.schema()));
+    OrderValidator validator(ref, *order, "output");
+    for (const Tuple& t : engine_out.tuples()) {
+      const Status checked = validator.Check(t);
+      if (!checked.ok()) {
+        result.order_ok = false;
+        if (result.diff.empty()) result.diff = checked.ToString();
+        break;
+      }
+    }
+  }
+
+  // The same case at batch 1 over the same operands: the output must be
+  // identical byte for byte and in order (batching only changes where
+  // production suspends), and that run's GC ledger must also balance.
+  if (batch_size != 1) {
+    DifferentialCase one = c;
+    one.batch_size = 1;
     TEMPUS_ASSIGN_OR_RETURN(std::unique_ptr<TupleStream> twin,
-                            BuildStreamOperator(twin_case, left_src,
-                                                right_src));
+                            BuildStreamOperator(one, left_src, right_src));
     if (c.kernel != KernelMode::kOff) {
       twin = WrapKernelFilter(std::move(twin), c.kernel, kernel_spec);
     }
     TEMPUS_ASSIGN_OR_RETURN(TemporalRelation twin_out,
-                            Materialize(twin.get(), "tuple_out"));
-    TEMPUS_ASSIGN_OR_RETURN(std::string twin_csv, CanonicalCsv(twin_out));
+                            MaterializeBatches(twin.get(), "batch1_out", 1));
+    TEMPUS_ASSIGN_OR_RETURN(std::string engine_raw, RawCsv(engine_out));
+    TEMPUS_ASSIGN_OR_RETURN(std::string twin_raw, RawCsv(twin_out));
     const OperatorMetrics twin_plan = CollectPlanMetrics(*twin);
     const bool twin_ledger =
         twin_plan.workspace_inserted ==
         twin_plan.gc_discarded + twin_plan.workspace_tuples;
-    result.tuple_twin_ok = engine_csv == twin_csv && twin_ledger;
-    if (engine_csv != twin_csv && result.diff.empty()) {
-      result.diff = "batch vs tuple: " + FirstDiffLine(engine_csv, twin_csv);
+    result.batch_one_ok = engine_raw == twin_raw && twin_ledger;
+    if (engine_raw != twin_raw && result.diff.empty()) {
+      result.diff = "batch vs batch 1: " + FirstDiffLine(engine_raw, twin_raw);
     }
   }
   return result;
@@ -711,9 +754,8 @@ std::string ReproCommand(const DifferentialCase& c) {
     cmd += StrFormat(" --storage=disk --frames=%zu --page=%zu",
                      c.frame_budget, c.tuples_per_page);
   }
-  if (c.batch_size > 0) {
-    cmd += StrFormat(" --batch=%zu", c.batch_size);
-  }
+  cmd += StrFormat(" --batch=%zu",
+                   c.batch_size == 0 ? DefaultBatchSize() : c.batch_size);
   if (c.kernel != KernelMode::kOff) {
     cmd += StrFormat(" --kernel=%s",
                      std::string(KernelModeName(c.kernel)).c_str());

@@ -75,13 +75,13 @@ struct DifferentialCase {
   size_t frame_budget = 0;
   /// kDisk only: tuples packed per on-disk page.
   size_t tuples_per_page = 8;
-  /// Batch axis (docs/BATCH.md): 0 runs the tuple-at-a-time operators;
-  /// K > 0 plans the batch-at-a-time operators with batches of K rows,
-  /// drains the plan through NextBatch(), AND additionally runs the tuple
-  /// twin of the same case — the result then requires the batch output to
-  /// be byte-identical to both the oracle and the tuple path.
+  /// Batch axis (docs/BATCH.md): the operators run with batches of this
+  /// many rows (0 means DefaultBatchSize()) and the plan drains through
+  /// NextBatch(). A stream-mode case at any size other than 1 also runs
+  /// the same case at batch 1, whose output must match it byte for byte
+  /// and in order.
   size_t batch_size = 0;
-  /// Kernel axis: kVector/kInterp wrap the plan (and the tuple twin) in
+  /// Kernel axis: kVector/kInterp wrap the plan (and its batch-1 run) in
   /// the deterministic compiled endpoint filter described at KernelMode
   /// and filter the oracle identically.
   KernelMode kernel = KernelMode::kOff;
@@ -96,10 +96,13 @@ struct DifferentialResult {
   bool bound_checked = false;
   /// workspace_inserted == gc_discarded + workspace_tuples over the plan.
   bool ledger_ok = false;
-  /// Batch cases only: the batch-mode output is byte-identical to the
-  /// tuple-at-a-time twin's and the twin's ledger also balances (always
-  /// true when batch_size == 0).
-  bool tuple_twin_ok = true;
+  /// Stream mode: the output equals the same case's output at batch 1,
+  /// byte for byte and in order, and that run's ledger also balances.
+  bool batch_one_ok = true;
+  /// Stream mode: the output respects the operator's promised output
+  /// order (a semijoin keeps its emitted operand's order); true for
+  /// operators that promise none.
+  bool order_ok = true;
   size_t oracle_tuples = 0;
   size_t engine_tuples = 0;
   size_t peak_workspace = 0;
@@ -113,7 +116,9 @@ struct DifferentialResult {
   /// First line of divergence (empty when match).
   std::string diff;
 
-  bool ok() const { return match && bound_ok && ledger_ok && tuple_twin_ok; }
+  bool ok() const {
+    return match && bound_ok && ledger_ok && batch_one_ok && order_ok;
+  }
 };
 
 /// The (left, right) order combinations the stream operator

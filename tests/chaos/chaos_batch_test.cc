@@ -3,7 +3,7 @@
 // every batch handed across an operator edge. An injected allocation
 // failure must surface as a clean Status (no partial rows reported as
 // success, no crash, no leak under ASan) and the GC-ledger identity must
-// hold on the abandoned plan, exactly like the tuple path's stream.next
+// hold on the abandoned plan, exactly like the stream.next fault point's
 // contract.
 
 #include <memory>

@@ -26,9 +26,12 @@ void CheckCase(const DifferentialCase& c) {
       << " bound=" << result->bound << "\n  repro: " << ReproCommand(c);
   EXPECT_TRUE(result->ledger_ok)
       << "GC ledger broken\n  repro: " << ReproCommand(c);
-  EXPECT_TRUE(result->tuple_twin_ok)
-      << "batch output diverged from the tuple-at-a-time twin\n  repro: "
-      << ReproCommand(c);
+  EXPECT_TRUE(result->batch_one_ok)
+      << "output diverged from the same case at batch 1: " << result->diff
+      << "\n  repro: " << ReproCommand(c);
+  EXPECT_TRUE(result->order_ok)
+      << "output broke its promised order: " << result->diff
+      << "\n  repro: " << ReproCommand(c);
 }
 
 /// Every operator, every supported order combination, across all six
@@ -215,8 +218,8 @@ TEST(DifferentialSuite, ContainedSemijoinSweepRespectsBoundOnMeets) {
 
 /// The batch axis (docs/BATCH.md): every operator at batch sizes 1, 3, 64,
 /// and 1024. Each case checks three ways at once —
-/// byte-identical to the brute-force oracle, byte-identical to the
-/// tuple-at-a-time twin of the same case, and ledger/bound clean on both.
+/// byte-identical to the brute-force oracle, byte-identical and in order
+/// to the same case at batch 1, and ledger/bound clean on both.
 TEST(DifferentialSuite, BatchSizesAgreeWithOracleAndTuplePath) {
   size_t case_index = 0;
   for (PairwiseOp op : AllPairwiseOps()) {
@@ -240,9 +243,37 @@ TEST(DifferentialSuite, BatchSizesAgreeWithOracleAndTuplePath) {
   EXPECT_EQ(case_index, AllPairwiseOps().size() * 4);
 }
 
+/// The kernel axis: every operator's plan wrapped in the compiled endpoint
+/// filter, on the vectorized and the per-row path, at a multi-row batch
+/// size — still byte-identical to the identically filtered oracle and, in
+/// order, to the same wrapped case at batch 1.
+TEST(DifferentialSuite, KernelAxisAgreesWithOracleAndBatchOne) {
+  size_t case_index = 0;
+  for (PairwiseOp op : AllPairwiseOps()) {
+    for (KernelMode kernel : {KernelMode::kVector, KernelMode::kInterp}) {
+      DifferentialCase c;
+      c.op = op;
+      c.distribution =
+          AllDistributions()[case_index % AllDistributions().size()];
+      c.arrangement =
+          AllArrangements()[case_index % AllArrangements().size()];
+      c.count = 48;
+      c.seed = 25000 + case_index;
+      const auto orders = SupportedOrders(op);
+      c.left_order = orders[case_index % orders.size()].first;
+      c.right_order = orders[case_index % orders.size()].second;
+      c.batch_size = 16;
+      c.kernel = kernel;
+      CheckCase(c);
+      ++case_index;
+    }
+  }
+  EXPECT_EQ(case_index, AllPairwiseOps().size() * 2);
+}
+
 /// Batch execution over disk-resident operands: the batch readers pull
 /// pinned pages through the scan's buffer pool, and the result must still
-/// match both the oracle and the tuple twin.
+/// match both the oracle and the same case at batch 1.
 TEST(DifferentialSuite, BatchOverDiskStorageAgreesEverywhere) {
   size_t case_index = 0;
   for (PairwiseOp op : AllPairwiseOps()) {
@@ -296,6 +327,16 @@ TEST(DifferentialSuite, ReproCommandRoundTripsItsTokens) {
   EXPECT_NE(repro.find("--mode=nogc"), std::string::npos);
   EXPECT_NE(repro.find("--dist=nested-chains"), std::string::npos);
   EXPECT_NE(repro.find("--arrangement=reverse"), std::string::npos);
+  // The batch size is always spelled out; the default resolves.
+  EXPECT_NE(repro.find("--batch=" + std::to_string(DefaultBatchSize())),
+            std::string::npos);
+  c.batch_size = 3;
+  EXPECT_NE(ReproCommand(c).find("--batch=3"), std::string::npos);
+  c.kernel = KernelMode::kInterp;
+  EXPECT_NE(ReproCommand(c).find("--kernel=interp"), std::string::npos);
+  c.kernel = KernelMode::kOff;
+  TEMPUS_ASSERT_OK(KernelModeFromName("vector").status());
+  EXPECT_FALSE(KernelModeFromName("simd").ok());
   TEMPUS_ASSERT_OK(PairwiseOpFromName("self-contain-semijoin").status());
   TEMPUS_ASSERT_OK(ExecModeFromName("nogc").status());
   TEMPUS_ASSERT_OK(DistributionFromName("nested-chains").status());

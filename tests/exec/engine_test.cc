@@ -1,6 +1,7 @@
 #include "exec/engine.h"
 
 #include <algorithm>
+#include <regex>
 
 #include "buffer/buffer_manager.h"
 #include "datagen/faculty_gen.h"
@@ -241,6 +242,30 @@ TEST(EngineTest, StaleAnalyzeStatsAreIgnoredAfterReplace) {
             StatsCatalog::Freshness::kFresh);
 }
 
+TEST(EngineTest, TinyAnalyzedPairStillPlansTheBatchOperator) {
+  // Every operator has one implementation, so even a pair of analyzed
+  // three-row relations plans the batch sweep: no cost-model note picks a
+  // tuple-at-a-time path, and the operator carries its batch size.
+  Engine engine;
+  TEMPUS_ASSERT_OK(engine.mutable_catalog()->Register(
+      MakeIntervals("R", {{0, 10}, {2, 5}, {20, 30}})));
+  TEMPUS_ASSERT_OK(engine.AnalyzeRelation("R").status());
+  PlannerOptions options;
+  options.optimizer = OptimizerMode::kCostBased;
+  Result<std::string> explain = engine.Explain(
+      "range of a is R range of b is R retrieve (a.S, b.S) where b during a",
+      options);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("Contain-join"), std::string::npos) << *explain;
+  EXPECT_NE(explain->find("[batch="), std::string::npos) << *explain;
+  EXPECT_EQ(explain->find("tuple path"), std::string::npos) << *explain;
+  Result<TemporalRelation> result = engine.Run(
+      "range of a is R range of b is R retrieve (a.S, b.S) where b during a",
+      options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->size(), 1u);
+}
+
 TEST(EngineTest, ExplainAnalyzeOnSpilledRelationsShowsBufferTraffic) {
   BufferManager pool(8);  // Must outlive the engine (see above).
   Engine engine;
@@ -252,15 +277,11 @@ TEST(EngineTest, ExplainAnalyzeOnSpilledRelationsShowsBufferTraffic) {
       "range of a is X range of b is Y retrieve (a.S, b.S) "
       "where b during a";
 
-  // Plan-wide metrics carry real pool traffic: the scans missed, the
-  // readahead turned later pages into hits, and the 8-frame pool had to
-  // evict to fit 50 data pages. Batches of one page (8 rows) keep the
-  // pins to a few frames: a disk batch pins every page it spans until it
-  // is cleared, so two streaming scans of 1024-row batches would pin all
-  // 50 pages at once, and the pool overcommits instead of evicting.
-  PlannerOptions one_page_batches;
-  one_page_batches.batch_size = 8;
-  Result<QueryRun> run = engine.RunQuery(tql, one_page_batches);
+  // Plan-wide metrics carry real pool traffic at the default batch size:
+  // the scans missed, the readahead turned later pages into hits, and the
+  // 8-frame pool had to evict to fit 50 data pages, because each disk
+  // batch ends once it pins a quarter of the pool.
+  Result<QueryRun> run = engine.RunQuery(tql);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   TEMPUS_ASSERT_OK(run->status);
   EXPECT_GT(run->metrics.buffer_misses, 0u);
@@ -275,6 +296,8 @@ TEST(EngineTest, ExplainAnalyzeOnSpilledRelationsShowsBufferTraffic) {
   EXPECT_NE(report->find("DiskScan X"), std::string::npos) << *report;
   EXPECT_NE(report->find("compressed]"), std::string::npos) << *report;
   EXPECT_NE(report->find(" buf=(hit="), std::string::npos) << *report;
+  EXPECT_TRUE(std::regex_search(*report, std::regex("evict=[1-9]")))
+      << *report;
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ TEST_P(MetricsInvariantTest, AllenSweepJoin) {
   const TemporalRelation ys = SortedByOrder(y_, kByValidFromAsc);
   AllenSweepJoinOptions options;
   options.mask = AllenMask::Intersecting();
-  Result<std::unique_ptr<AllenSweepJoin>> join = AllenSweepJoin::Create(
+  Result<std::unique_ptr<TupleStream>> join = MakeAllenSweepJoin(
       VectorStream::Scan(xs), VectorStream::Scan(ys), options);
   ASSERT_TRUE(join.ok());
   (void)MustMaterialize(join->get(), "out");
@@ -184,7 +184,7 @@ TEST_P(MetricsInvariantTest, ContainJoin) {
   ContainJoinOptions options;
   options.left_order = kByValidFromAsc;
   options.right_order = kByValidFromAsc;
-  Result<std::unique_ptr<ContainJoinStream>> join = ContainJoinStream::Create(
+  Result<std::unique_ptr<TupleStream>> join = MakeContainJoin(
       VectorStream::Scan(xs), VectorStream::Scan(ys), options);
   ASSERT_TRUE(join.ok());
   (void)MustMaterialize(join->get(), "out");
@@ -232,8 +232,8 @@ TEST_P(MetricsInvariantTest, ContainmentSemijoins) {
 TEST_P(MetricsInvariantTest, OverlapSemijoin) {
   const TemporalRelation xs = SortedByOrder(x_, kByValidFromAsc);
   const TemporalRelation ys = SortedByOrder(y_, kByValidFromAsc);
-  Result<std::unique_ptr<OverlapSemijoin>> semi =
-      OverlapSemijoin::Create(VectorStream::Scan(xs), VectorStream::Scan(ys));
+  Result<std::unique_ptr<TupleStream>> semi =
+      MakeOverlapSemijoin(VectorStream::Scan(xs), VectorStream::Scan(ys));
   ASSERT_TRUE(semi.ok());
   (void)MustMaterialize(semi->get(), "out");
   const OperatorMetrics& m = (*semi)->metrics();
@@ -305,7 +305,7 @@ TEST_P(MetricsInvariantTest, LedgerSurvivesReopen) {
   const TemporalRelation ys = SortedByOrder(y_, kByValidFromAsc);
   AllenSweepJoinOptions options;
   options.mask = AllenMask::Intersecting();
-  Result<std::unique_ptr<AllenSweepJoin>> join = AllenSweepJoin::Create(
+  Result<std::unique_ptr<TupleStream>> join = MakeAllenSweepJoin(
       VectorStream::Scan(xs), VectorStream::Scan(ys), options);
   ASSERT_TRUE(join.ok());
   const TemporalRelation first = MustMaterialize(join->get(), "first");

@@ -72,9 +72,9 @@ TEST_P(OperatorPropertyTest, ContainJoinBothModes) {
     ContainJoinOptions options;
     options.left_order = lo;
     options.right_order = ro;
-    Result<std::unique_ptr<ContainJoinStream>> join =
-        ContainJoinStream::Create(VectorStream::Scan(xs),
-                                  VectorStream::Scan(ys), options);
+    Result<std::unique_ptr<TupleStream>> join =
+        MakeContainJoin(VectorStream::Scan(xs),
+                        VectorStream::Scan(ys), options);
     ASSERT_TRUE(join.ok());
     ExpectSameTuples(MustMaterialize(join->get(), "out"),
                      ReferenceMaskJoin(xs, ys, contains));
@@ -113,7 +113,7 @@ TEST_P(OperatorPropertyTest, SweepJoinIntersectingWithBound) {
   const TemporalRelation ys = SortedByOrder(y_, kByValidFromAsc);
   AllenSweepJoinOptions options;
   options.mask = AllenMask::Intersecting();
-  Result<std::unique_ptr<AllenSweepJoin>> join = AllenSweepJoin::Create(
+  Result<std::unique_ptr<TupleStream>> join = MakeAllenSweepJoin(
       VectorStream::Scan(xs), VectorStream::Scan(ys), options);
   ASSERT_TRUE(join.ok());
   ExpectSameTuples(MustMaterialize(join->get(), "out"),
@@ -128,8 +128,8 @@ TEST_P(OperatorPropertyTest, SweepJoinIntersectingWithBound) {
 TEST_P(OperatorPropertyTest, OverlapSemijoinBufferOnly) {
   const TemporalRelation xs = SortedByOrder(x_, kByValidFromAsc);
   const TemporalRelation ys = SortedByOrder(y_, kByValidFromAsc);
-  Result<std::unique_ptr<OverlapSemijoin>> semi =
-      OverlapSemijoin::Create(VectorStream::Scan(xs), VectorStream::Scan(ys));
+  Result<std::unique_ptr<TupleStream>> semi =
+      MakeOverlapSemijoin(VectorStream::Scan(xs), VectorStream::Scan(ys));
   ASSERT_TRUE(semi.ok());
   ExpectSameTuples(
       MustMaterialize(semi->get(), "out"),
@@ -182,7 +182,7 @@ TEST_P(OperatorPropertyTest, RandomAllenMasksAgainstReference) {
     SCOPED_TRACE(mask.ToString());
     AllenSweepJoinOptions options;
     options.mask = mask;
-    Result<std::unique_ptr<AllenSweepJoin>> join = AllenSweepJoin::Create(
+    Result<std::unique_ptr<TupleStream>> join = MakeAllenSweepJoin(
         VectorStream::Scan(xs), VectorStream::Scan(ys), options);
     ASSERT_TRUE(join.ok());
     ExpectSameTuples(MustMaterialize(join->get(), "out"),

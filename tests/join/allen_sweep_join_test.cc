@@ -23,7 +23,7 @@ void CheckMask(const TemporalRelation& x, const TemporalRelation& y,
   options.mask = mask;
   options.left_order = order;
   options.right_order = order;
-  Result<std::unique_ptr<AllenSweepJoin>> join = AllenSweepJoin::Create(
+  Result<std::unique_ptr<TupleStream>> join = MakeAllenSweepJoin(
       VectorStream::Scan(xs), VectorStream::Scan(ys), options);
   ASSERT_TRUE(join.ok()) << join.status().ToString();
   const TemporalRelation out = MustMaterialize(join->get(), "out");
@@ -103,28 +103,28 @@ TEST(AllenSweepJoinTest, RejectsBeforeAfterAndBadOrders) {
   const TemporalRelation x = MakeIntervals("X", {{0, 10}});
   AllenSweepJoinOptions options;
   options.mask = AllenMask::Single(AllenRelation::kBefore);
-  EXPECT_FALSE(AllenSweepJoin::Create(VectorStream::Scan(x),
-                                      VectorStream::Scan(x), options)
+  EXPECT_FALSE(MakeAllenSweepJoin(VectorStream::Scan(x),
+                                  VectorStream::Scan(x), options)
                    .ok());
   options.mask = AllenMask::All();
-  EXPECT_FALSE(AllenSweepJoin::Create(VectorStream::Scan(x),
-                                      VectorStream::Scan(x), options)
+  EXPECT_FALSE(MakeAllenSweepJoin(VectorStream::Scan(x),
+                                  VectorStream::Scan(x), options)
                    .ok());
   options.mask = AllenMask::Intersecting();
   options.left_order = kByValidToAsc;
   options.right_order = kByValidToAsc;
-  EXPECT_FALSE(AllenSweepJoin::Create(VectorStream::Scan(x),
-                                      VectorStream::Scan(x), options)
+  EXPECT_FALSE(MakeAllenSweepJoin(VectorStream::Scan(x),
+                                  VectorStream::Scan(x), options)
                    .ok());
   options.left_order = kByValidFromAsc;
   options.right_order = kByValidToDesc;
-  EXPECT_FALSE(AllenSweepJoin::Create(VectorStream::Scan(x),
-                                      VectorStream::Scan(x), options)
+  EXPECT_FALSE(MakeAllenSweepJoin(VectorStream::Scan(x),
+                                  VectorStream::Scan(x), options)
                    .ok());
   options.mask = AllenMask::None();
   options.right_order = kByValidFromAsc;
-  EXPECT_FALSE(AllenSweepJoin::Create(VectorStream::Scan(x),
-                                      VectorStream::Scan(x), options)
+  EXPECT_FALSE(MakeAllenSweepJoin(VectorStream::Scan(x),
+                                  VectorStream::Scan(x), options)
                    .ok());
 }
 

@@ -1,9 +1,9 @@
-// Batch-at-a-time sweep operators vs. their tuple-at-a-time originals
-// (docs/BATCH.md). The batch engine promises the SAME output sequence —
-// not just the same set — so every comparison here is exact, including
-// the degenerate relation sizes around the batch boundary (0, 1, B-1, B,
-// B+1) and batch_size=1, which must reduce to tuple-at-a-time behavior
-// exactly.
+// The batch sweep operators at every batch size vs. the same operator at
+// batch 1 drained row by row through the BatchOperator row adapter
+// (docs/BATCH.md). Batching only moves where production suspends, so the
+// operators promise the SAME output sequence — not just the same set —
+// and every comparison here is exact, including the degenerate relation
+// sizes around the batch boundary (0, 1, B-1, B, B+1).
 
 #include "join/batch_sweep.h"
 
@@ -17,6 +17,7 @@
 #include "gtest/gtest.h"
 #include "join/containment_semijoin.h"
 #include "join/self_semijoin.h"
+#include "stream/basic_ops.h"
 #include "testing/test_util.h"
 
 namespace tempus {
@@ -37,7 +38,7 @@ struct OpSpec {
   OpBuilder build;
 };
 
-/// Every converted operator in every supported configuration family.
+/// Every sweep operator in every supported configuration family.
 std::vector<OpSpec> ConvertedOps() {
   std::vector<OpSpec> ops;
   auto contain_join = [](TemporalSortOrder lo, TemporalSortOrder ro) {
@@ -163,19 +164,19 @@ void ExpectExactSequence(const TemporalRelation& actual,
 }
 
 /// Runs `spec` over (x, y) at `batch_size` (drained through NextBatch) and
-/// at batch_size 0 (the tuple path, drained tuple-at-a-time); the two
-/// results must agree row for row.
-void CheckAgainstTuplePath(const OpSpec& spec, const TemporalRelation& x,
-                           const TemporalRelation& y, size_t batch_size) {
+/// at batch size 1 (drained row by row through the row adapter); the two
+/// results must agree row for row, with the same peak state.
+void CheckAgainstRowDrain(const OpSpec& spec, const TemporalRelation& x,
+                          const TemporalRelation& y, size_t batch_size) {
   SCOPED_TRACE(spec.name + " batch=" + std::to_string(batch_size) + " |x|=" +
                std::to_string(x.size()) + " |y|=" + std::to_string(y.size()));
   const TemporalRelation xs = SortedByOrder(x, spec.left_order);
   const TemporalRelation ys = SortedByOrder(y, spec.right_order);
 
-  Result<std::unique_ptr<TupleStream>> tuple_op = spec.build(
-      VectorStream::Scan(xs), VectorStream::Scan(ys), /*batch=*/0);
-  ASSERT_TRUE(tuple_op.ok()) << tuple_op.status().ToString();
-  Result<TemporalRelation> expected = Materialize(tuple_op->get(), "tuple");
+  Result<std::unique_ptr<TupleStream>> row_op = spec.build(
+      VectorStream::Scan(xs), VectorStream::Scan(ys), /*batch=*/1);
+  ASSERT_TRUE(row_op.ok()) << row_op.status().ToString();
+  Result<TemporalRelation> expected = Materialize(row_op->get(), "rows");
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   Result<std::unique_ptr<TupleStream>> batch_op =
@@ -188,16 +189,15 @@ void CheckAgainstTuplePath(const OpSpec& spec, const TemporalRelation& x,
   ExpectExactSequence(*actual, *expected);
 
   // The ledger identity holds on both sides.
-  const OperatorMetrics tuple_m = CollectPlanMetrics(**tuple_op);
+  const OperatorMetrics row_m = CollectPlanMetrics(**row_op);
   const OperatorMetrics batch_m = CollectPlanMetrics(**batch_op);
-  EXPECT_EQ(tuple_m.workspace_inserted,
-            tuple_m.gc_discarded + tuple_m.workspace_tuples);
+  EXPECT_EQ(row_m.workspace_inserted,
+            row_m.gc_discarded + row_m.workspace_tuples);
   EXPECT_EQ(batch_m.workspace_inserted,
             batch_m.gc_discarded + batch_m.workspace_tuples);
-  // State-content preservation: the batch path never buffers more sweep
-  // state than the tuple path. (It may buffer less: it skips insertions
-  // that could never find a partner once the opposite input is exhausted.)
-  EXPECT_LE(batch_m.peak_workspace_tuples, tuple_m.peak_workspace_tuples);
+  // State-content preservation: the sweep state does not depend on the
+  // batch size.
+  EXPECT_EQ(batch_m.peak_workspace_tuples, row_m.peak_workspace_tuples);
 }
 
 TEST(BatchSweepTest, EdgeSizesAroundTheBatchBoundary) {
@@ -212,7 +212,7 @@ TEST(BatchSweepTest, EdgeSizesAroundTheBatchBoundary) {
         if (spec.self && nx != ny) continue;  // Single operand.
         const TemporalRelation x = MakeRandomRel("x", nx, ++seed);
         const TemporalRelation y = MakeRandomRel("y", ny, ++seed);
-        CheckAgainstTuplePath(spec, x, y, kBatch);
+        CheckAgainstRowDrain(spec, x, y, kBatch);
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
@@ -224,7 +224,7 @@ TEST(BatchSweepTest, BatchSizeOneIsTupleAtATimeExactly) {
   for (const OpSpec& spec : ConvertedOps()) {
     const TemporalRelation x = MakeRandomRel("x", 120, ++seed);
     const TemporalRelation y = spec.self ? x : MakeRandomRel("y", 120, ++seed);
-    CheckAgainstTuplePath(spec, x, y, /*batch_size=*/1);
+    CheckAgainstRowDrain(spec, x, y, /*batch_size=*/1);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -235,15 +235,50 @@ TEST(BatchSweepTest, MidAndLargeBatchSizesMatchTuple) {
     const TemporalRelation x = MakeRandomRel("x", 200, ++seed);
     const TemporalRelation y = spec.self ? x : MakeRandomRel("y", 200, ++seed);
     for (size_t batch : {size_t{3}, size_t{64}, size_t{1024}}) {
-      CheckAgainstTuplePath(spec, x, y, batch);
+      CheckAgainstRowDrain(spec, x, y, batch);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
 
+TEST(BatchSweepTest, OwnedInputRowsMatchStableInputs) {
+  // A child whose rows die with its batch (here a closure filter, which
+  // hands out owned rows) makes every operator copy what it retains or
+  // emits instead of pointing at it; the output must not change.
+  auto owned = [](const TemporalRelation& rel) {
+    return std::make_unique<FilterStream>(
+        VectorStream::Scan(rel), [](const Tuple&) -> Result<bool> {
+          return true;
+        });
+  };
+  uint64_t seed = 9400;
+  for (const OpSpec& spec : ConvertedOps()) {
+    SCOPED_TRACE(spec.name);
+    const TemporalRelation x =
+        SortedByOrder(MakeRandomRel("x", 150, ++seed), spec.left_order);
+    const TemporalRelation y =
+        spec.self ? x
+                  : SortedByOrder(MakeRandomRel("y", 150, ++seed),
+                                  spec.right_order);
+    Result<std::unique_ptr<TupleStream>> stable_op =
+        spec.build(VectorStream::Scan(x), VectorStream::Scan(y), 7);
+    ASSERT_TRUE(stable_op.ok()) << stable_op.status().ToString();
+    Result<TemporalRelation> expected =
+        MaterializeBatches(stable_op->get(), "stable", 7);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    Result<std::unique_ptr<TupleStream>> owned_op =
+        spec.build(owned(x), owned(y), 7);
+    ASSERT_TRUE(owned_op.ok()) << owned_op.status().ToString();
+    Result<TemporalRelation> actual =
+        MaterializeBatches(owned_op->get(), "owned", 7);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    ExpectExactSequence(*actual, *expected);
+  }
+}
+
 TEST(BatchSweepTest, RejectsInappropriateOrderingsLikeTuplePath) {
-  // The batch dispatch must refuse exactly the configurations the tuple
-  // factories refuse, with the same error story.
+  // The factories refuse the orderings that admit no garbage-collection
+  // criterion (the "-" cells of Tables 1-2) at every batch size.
   const TemporalRelation x = MakeIntervals("X", {{0, 10}});
   ContainJoinOptions options;
   options.left_order = kByValidToAsc;
@@ -263,7 +298,7 @@ TEST(BatchSweepTest, RejectsInappropriateOrderingsLikeTuplePath) {
 
 TEST(BatchSweepTest, OrderViolationFailsTheBatchRun) {
   // Input promising from-asc but delivered shuffled: the reader-side
-  // validator must fail the drain, matching the tuple operators' behavior.
+  // validator must fail the drain.
   const TemporalRelation bad =
       MakeIntervals("X", {{5, 9}, {0, 10}, {2, 4}});
   ContainJoinOptions options;

@@ -2,9 +2,8 @@
 // GaplessWorkspace and LazyDeletionQueue are exercised with randomized
 // operation sequences against straightforward node-based references, then
 // the structures are driven end-to-end through the batch containment
-// semijoins on the adversarial meets-chain that PR'd the dead-on-arrival
-// GC rule into the tuple path — the batch path must hold the same Table 1
-// bound.
+// semijoins on the adversarial meets-chain behind the dead-on-arrival GC
+// rule — they must hold the Table 1 bound.
 
 #include "join/batch_workspace.h"
 
@@ -36,8 +35,8 @@ struct RefEntry {
   int64_t payload;
 };
 
-/// The reference is the tuple path's structure: a plain vector compacted
-/// in place, preserving insertion order.
+/// The reference is the plain structure: a vector compacted in place,
+/// preserving insertion order.
 class ReferenceWorkspace {
  public:
   void Insert(TimePoint start, TimePoint end, int64_t payload) {
@@ -74,7 +73,7 @@ void ExpectSameState(const GaplessWorkspace& ws,
   ASSERT_EQ(ws.size(), ref.entries().size());
   for (size_t i = 0; i < ws.size(); ++i) {
     // Insertion order of survivors is part of the contract: probe emission
-    // order must match the tuple path.
+    // order follows it.
     EXPECT_EQ(ws.start(i), ref.entries()[i].start) << "entry " << i;
     EXPECT_EQ(ws.end(i), ref.entries()[i].end) << "entry " << i;
     ASSERT_EQ(ws.tuple(i).size(), 1u);
@@ -261,8 +260,8 @@ TEST(LazyDeletionQueueTest, CompactionPreservesWindowPastThreshold) {
   }
 }
 
-/// The dead-on-arrival regression from the tuple path, replayed through
-/// the batch sweep containment semijoins: on a meets chain every container
+/// The dead-on-arrival regression, replayed through the batch sweep
+/// containment semijoins: on a meets chain every container
 /// dies on arrival, so the workspace must hold the Table 1 bound
 /// mc_x + mc_y + 2 = 4 instead of growing with the input.
 TEST(BatchWorkspaceBoundTest, SweepDiscardsDeadOnArrivalContainers) {

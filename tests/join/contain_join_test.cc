@@ -31,9 +31,9 @@ void CheckAgainstReference(const TemporalRelation& x,
   options.left_order = left_order;
   options.right_order = right_order;
   options.read_policy = policy;
-  Result<std::unique_ptr<ContainJoinStream>> join =
-      ContainJoinStream::Create(VectorStream::Scan(xs),
-                                VectorStream::Scan(ys), options);
+  Result<std::unique_ptr<TupleStream>> join =
+      MakeContainJoin(VectorStream::Scan(xs),
+                      VectorStream::Scan(ys), options);
   ASSERT_TRUE(join.ok()) << join.status().ToString();
   const TemporalRelation out = MustMaterialize(join->get(), "out");
   ExpectSameTuples(out, ReferenceMaskJoin(xs, ys,
@@ -181,9 +181,9 @@ TEST(ContainJoinTest, RejectsInappropriateOrderings) {
     ContainJoinOptions options;
     options.left_order = lo;
     options.right_order = ro;
-    Result<std::unique_ptr<ContainJoinStream>> join =
-        ContainJoinStream::Create(VectorStream::Scan(x),
-                                  VectorStream::Scan(x), options);
+    Result<std::unique_ptr<TupleStream>> join =
+        MakeContainJoin(VectorStream::Scan(x),
+                        VectorStream::Scan(x), options);
     EXPECT_FALSE(join.ok()) << lo.ToString() << "/" << ro.ToString();
     EXPECT_EQ(join.status().code(), StatusCode::kFailedPrecondition);
   }
@@ -195,8 +195,8 @@ TEST(ContainJoinTest, LambdaPolicyRequiresFromFromOrdering) {
   options.left_order = kByValidFromAsc;
   options.right_order = kByValidToAsc;
   options.read_policy = ContainJoinReadPolicy::kLambdaHeuristic;
-  EXPECT_FALSE(ContainJoinStream::Create(VectorStream::Scan(x),
-                                         VectorStream::Scan(x), options)
+  EXPECT_FALSE(MakeContainJoin(VectorStream::Scan(x),
+                               VectorStream::Scan(x), options)
                    .ok());
 }
 
@@ -204,7 +204,7 @@ TEST(ContainJoinTest, DetectsMisSortedInput) {
   const TemporalRelation x = MakeIntervals("X", {{5, 10}, {0, 20}});
   const TemporalRelation y = MakeIntervals("Y", {{6, 7}});
   ContainJoinOptions options;  // Defaults: both ValidFrom^, verification on.
-  Result<std::unique_ptr<ContainJoinStream>> join = ContainJoinStream::Create(
+  Result<std::unique_ptr<TupleStream>> join = MakeContainJoin(
       VectorStream::Scan(x), VectorStream::Scan(y), options);
   ASSERT_TRUE(join.ok());
   Result<TemporalRelation> out = Materialize(join->get(), "out");
@@ -215,7 +215,7 @@ TEST(ContainJoinTest, DetectsMisSortedInput) {
 TEST(ContainJoinTest, ReopenProducesSameResult) {
   const TemporalRelation x = MakeIntervals("X", {{0, 9}, {1, 5}});
   const TemporalRelation y = MakeIntervals("Y", {{1, 4}, {2, 3}});
-  Result<std::unique_ptr<ContainJoinStream>> join = ContainJoinStream::Create(
+  Result<std::unique_ptr<TupleStream>> join = MakeContainJoin(
       VectorStream::Scan(x), VectorStream::Scan(y), {});
   ASSERT_TRUE(join.ok());
   const TemporalRelation first = MustMaterialize(join->get(), "a");

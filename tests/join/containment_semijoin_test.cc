@@ -182,6 +182,13 @@ TEST(ContainmentSemijoinTest, RejectsInappropriateOrderings) {
   EXPECT_FALSE(MakeContainedSemijoin(VectorStream::Scan(x),
                                      VectorStream::Scan(x), options)
                    .ok());
+  // The frontier keeps spans only, so it cannot emit containers.
+  options.right_order = kByValidFromAsc;
+  options.use_frontier_state = true;
+  Result<std::unique_ptr<TupleStream>> frontier_contain = MakeContainSemijoin(
+      VectorStream::Scan(x), VectorStream::Scan(x), options);
+  ASSERT_FALSE(frontier_contain.ok());
+  EXPECT_EQ(frontier_contain.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ContainmentSemijoinTest, SemijoinOutputPreservesInputOrder) {

@@ -23,8 +23,8 @@ TEST(OverlapJoinTest, SuperstarStyleOverlap) {
       MakeIntervals("Y", {{4, 6}, {5, 10}, {12, 13}});
   const TemporalRelation xs = SortedByOrder(x, kByValidFromAsc);
   const TemporalRelation ys = SortedByOrder(y, kByValidFromAsc);
-  Result<std::unique_ptr<AllenSweepJoin>> join =
-      MakeOverlapJoin(VectorStream::Scan(xs), VectorStream::Scan(ys));
+  Result<std::unique_ptr<TupleStream>> join =
+      MakeAllenSweepJoin(VectorStream::Scan(xs), VectorStream::Scan(ys));
   ASSERT_TRUE(join.ok());
   const TemporalRelation out = MustMaterialize(join->get(), "out");
   ExpectSameTuples(out,
@@ -46,7 +46,7 @@ void CheckOverlapSemijoin(const TemporalRelation& x,
   const TemporalRelation ys = SortedByOrder(y, order);
   OverlapSemijoinOptions options;
   options.order = order;
-  Result<std::unique_ptr<OverlapSemijoin>> semi = OverlapSemijoin::Create(
+  Result<std::unique_ptr<TupleStream>> semi = MakeOverlapSemijoin(
       VectorStream::Scan(xs), VectorStream::Scan(ys), options);
   ASSERT_TRUE(semi.ok()) << semi.status().ToString();
   const TemporalRelation out = MustMaterialize(semi->get(), "out");
@@ -111,8 +111,8 @@ TEST(OverlapJoinTest, EmptyAndSingletonInputs) {
       {{&x, &touching}, {&x, &apart}, {&x, &empty},
        {&empty, &x},    {&empty, &empty}};
   for (const auto& [l, r] : cases) {
-    Result<std::unique_ptr<AllenSweepJoin>> join =
-        MakeOverlapJoin(VectorStream::Scan(*l), VectorStream::Scan(*r));
+    Result<std::unique_ptr<TupleStream>> join =
+        MakeAllenSweepJoin(VectorStream::Scan(*l), VectorStream::Scan(*r));
     ASSERT_TRUE(join.ok()) << join.status().ToString();
     ExpectSameTuples(MustMaterialize(join->get(), "out"),
                      ReferenceMaskJoin(*l, *r, AllenMask::Intersecting()));
@@ -123,8 +123,8 @@ TEST(OverlapSemijoinTest, RejectsBadOrder) {
   const TemporalRelation x = MakeIntervals("X", {{0, 5}});
   OverlapSemijoinOptions options;
   options.order = kByValidToAsc;
-  EXPECT_FALSE(OverlapSemijoin::Create(VectorStream::Scan(x),
-                                       VectorStream::Scan(x), options)
+  EXPECT_FALSE(MakeOverlapSemijoin(VectorStream::Scan(x),
+                                   VectorStream::Scan(x), options)
                    .ok());
 }
 

@@ -177,29 +177,5 @@ TEST(OptimizerTest, CascadeDegenerateSizes) {
   EXPECT_DOUBLE_EQ(one.est_rows, 5.0);
 }
 
-TEST(OptimizerTest, BatchSizeDropsToTupleBelowThreshold) {
-  const Optimizer opt(OptimizerMode::kCostBased, nullptr);
-  // Interpreted path: the full threshold decides.
-  setenv("TEMPUS_VECTOR_KERNELS", "off", 1);
-  EXPECT_EQ(opt.ChooseBatchSize(Optimizer::kBatchRowThreshold - 1, 1024),
-            0u);
-  EXPECT_EQ(opt.ChooseBatchSize(Optimizer::kBatchRowThreshold, 1024),
-            1024u);
-  // Kernels on: columnar evaluation lowers the crossover to half.
-  setenv("TEMPUS_VECTOR_KERNELS", "on", 1);
-  EXPECT_EQ(opt.ChooseBatchSize(Optimizer::kBatchRowThreshold / 2 - 1, 1024),
-            0u);
-  EXPECT_EQ(opt.ChooseBatchSize(Optimizer::kBatchRowThreshold / 2, 1024),
-            1024u);
-  EXPECT_EQ(opt.ChooseBatchSize(Optimizer::kBatchRowThreshold, 1024),
-            1024u);
-  // A caller-pinned tuple path stays pinned.
-  EXPECT_EQ(opt.ChooseBatchSize(1e9, 0), 0u);
-  // Heuristic mode never overrides.
-  const Optimizer heuristic(OptimizerMode::kHeuristic, nullptr);
-  EXPECT_EQ(heuristic.ChooseBatchSize(1.0, 1024), 1024u);
-  unsetenv("TEMPUS_VECTOR_KERNELS");
-}
-
 }  // namespace
 }  // namespace tempus
